@@ -5,7 +5,11 @@ t = exp(tau), which turns both endpoint behaviours of the weighted-space
 integrands into exponential decay in tau.  The resulting line integrals are
 handled by the trapezoidal rule with automatic range expansion and nested
 step halving (spectrally accurate for integrands analytic in a strip around
-the real tau axis).
+the real tau axis).  An integrand may be vector-valued, one column per
+output (say one per argument x of a transform): all columns share the tau
+lattice and each column stops sweeping outward and stops halving on its own
+tests, so one sweep serves a block of outputs with the values that separate
+scalar calls would give.
 
 Finite panels (Mellin-Barnes contours, oscillation arches) use composite
 Gauss-Legendre; endpoint-singular weights use Gauss-Jacobi nodes computed
@@ -93,16 +97,19 @@ def panel_rule(t_lo: float, t_hi: float, panel_width: float, nodes_per_panel: in
 
 
 def _sweep(g, spacing: float, offset: float, center: float, tol: float,
-           block: int, max_span: float):
-    """sum of g over {center +- (offset + spacing*k), k >= 0}, times spacing.
+           block: int, max_span: float, live=None):
+    """Column sums of g over {center +- (offset + spacing*k), k >= 0}, times spacing.
 
-    For offset == 0 the k=0 lattice point appears in both directions and is
+    g(taus) has shape (n,) or (n, ncols); a 1-D result is one column.  The
+    result has one entry per column.  Only the columns flagged in live (all
+    when None) are summed, and each stops on its own decay test; the others
+    stay 0.  Returns (sums, one_d), one_d telling whether g is 1-D.  For
+    offset == 0 the k=0 lattice point appears in both directions and is
     counted once; for offset > 0 the two directions interleave without
-    overlap (together they tile the shifted lattice center + offset + k*spacing).
+    overlap (together they tile the shifted lattice center +
+    offset + k*spacing).
     """
-    total = 0.0 + 0.0j
-    scale = 0.0
-    amax = 0.0
+    total = scale = amax = going = None
     k0 = 0
     while spacing * k0 < max_span:
         idx = np.arange(k0, k0 + block)
@@ -110,24 +117,38 @@ def _sweep(g, spacing: float, offset: float, center: float, tol: float,
             [center + offset + spacing * idx, center - offset - spacing * idx]
         )
         vals = np.asarray(g(taus), dtype=complex)
+        one_d = vals.ndim == 1
+        vals = vals.reshape(taus.size, -1).T
+        if going is None:
+            total = np.zeros(vals.shape[0], dtype=complex)
+            scale = np.zeros(vals.shape[0])
+            amax = np.zeros(vals.shape[0])
+            going = np.ones(vals.shape[0], dtype=bool) if live is None else live.copy()
+        # one contiguous row per summed column, so each row sums exactly
+        # as a 1-D integrand would
+        vals = vals[going]
         if k0 == 0 and offset == 0.0:
-            vals[block] = 0.0
+            vals[:, block] = 0.0
         if not np.all(np.isfinite(vals)):
             raise DivergentIntegralError("integrand overflow on the line")
-        total += vals.sum() * spacing
-        amax = float(np.max(np.abs(vals)))
-        scale = max(scale, amax)
+        total[going] += vals.sum(axis=1) * spacing
+        amax[going] = np.max(np.abs(vals), axis=1)
+        scale[going] = np.maximum(scale[going], amax[going])
         # never conclude before any mass has been seen: the support may sit
         # far from the expansion center
-        if scale > 0.0 and k0 > 0 and amax * spacing <= tol * scale * spacing * 1e-2:
-            return total
+        if k0 > 0:
+            going &= ~((scale > 0.0) & (amax * spacing <= tol * scale * spacing * 1e-2))
+            if not going.any():
+                return total, one_d
         k0 += block
-    if scale == 0.0:
-        return total  # identically zero on the whole span
-    # ran out of range: decide between divergence and budget exhaustion
-    if amax > 1e-8 * scale:
+    # columns identically zero on the whole span are done; for the others,
+    # running out of range means divergence or budget exhaustion
+    going &= scale > 0.0
+    if np.any(amax[going] > 1e-8 * scale[going]):
         raise DivergentIntegralError("integrand does not decay on the line")
-    raise NumericalError("line quadrature range budget exhausted")
+    if going.any():
+        raise NumericalError("line quadrature range budget exhausted")
+    return total, one_d
 
 
 def trapezoid_line(
@@ -143,36 +164,30 @@ def trapezoid_line(
     """Integrate vectorized g over the whole real line by trapezoid sums.
 
     g must decay at least exponentially in both directions.  Step halving
-    reuses previous lattice points; returns (value, error_estimate).
+    reuses previous lattice points.  g(taus) may return shape (n,) or
+    (n, ncols); each column is integrated on its own, with the stopping
+    rules of a 1-D integrand: it stops sweeping outward at its own decay,
+    stops halving once its own estimate meets tol * max(1, |value|), and
+    raises the same errors.  A finished column is frozen, so its value
+    equals that of a 1-D call on that column alone.  Returns
+    (value, error_estimate): a complex and a float for a 1-D g, arrays of
+    shape (ncols,) otherwise.
     """
-    value = _sweep(g, h, 0.0, center, tol, block, max_span)
-    err = math.inf
+    value, one_d = _sweep(g, h, 0.0, center, tol, block, max_span)
+    err = np.full(value.shape, math.inf)
+    live = np.ones(value.shape, dtype=bool)
     for _ in range(max_halvings):
-        fill = _sweep(g, h, 0.5 * h, center, tol, block, max_span)
+        fill, _ = _sweep(g, h, 0.5 * h, center, tol, block, max_span, live)
         refined = 0.5 * value + 0.5 * fill
-        err = abs(refined - value)
-        value = refined
+        err[live] = np.abs(refined - value)[live]
+        value[live] = refined[live]
         h *= 0.5
-        if err <= tol * max(1.0, abs(value)):
+        live &= ~(err <= tol * np.maximum(1.0, np.abs(value)))
+        if not live.any():
             break
+    if one_d:
+        return complex(value[0]), float(err[0])
     return value, err
-
-
-def log_axis_quad(f, *, tol: float = 1e-12, weight=None, center: float = 0.0):
-    """Integral of f over (0, infinity) dt, via t = exp(tau).
-
-    weight(tau) may supply an extra complex factor (e.g. exp((s-1) tau));
-    the Jacobian e^tau is applied here.  Returns (value, error_estimate).
-    """
-
-    def g(tau):
-        t = np.exp(tau)
-        vals = np.asarray(f(t), dtype=complex) * t
-        if weight is not None:
-            vals = vals * weight(tau)
-        return vals
-
-    return trapezoid_line(g, tol=tol, center=center)
 
 
 def wynn_epsilon(partial_sums):

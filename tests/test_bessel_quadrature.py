@@ -8,6 +8,7 @@ import pytest
 from scipy.special import jv as scipy_jv, roots_jacobi
 
 from foxh.bessel import bessel_j, oscillatory_bessel_integral, phase_breakpoints
+from foxh.errors import DivergentIntegralError
 from foxh.quadrature import (
     gauss_jacobi,
     jacobi_unit_interval,
@@ -73,6 +74,44 @@ def test_panel_rule_polynomial_exactness():
 def test_trapezoid_line_gaussian():
     val, err = trapezoid_line(lambda t: np.exp(-t * t), tol=1e-13)
     assert abs(val - math.sqrt(math.pi)) < 1e-12
+
+
+def _columns(t):
+    # supports centred from -200 to 150, decay lengths from 0.05 to 10
+    return np.stack([
+        np.exp(-t * t),
+        np.exp(-(t + 200.0) ** 2 / 0.05),
+        np.exp(-(t - 150.0) ** 2 / 400.0) * np.exp(0.3j * t),
+        1.0 / np.cosh(t / 10.0),
+        np.exp(-np.abs(t - 3.0)) * (1.0 + 2.0j),
+    ], axis=1)
+
+
+def test_trapezoid_line_columns_equal_scalar_calls():
+    vals, errs = trapezoid_line(_columns, tol=1e-12)
+    assert vals.shape == errs.shape == (5,)
+    for j in range(5):
+        val, err = trapezoid_line(lambda t, j=j: _columns(t)[:, j], tol=1e-12)
+        assert vals[j] == val and errs[j] == err
+    assert abs(vals[0] - math.sqrt(math.pi)) < 1e-12
+    assert abs(vals[3] - 10.0 * math.pi) < 1e-9
+
+
+def test_trapezoid_line_zero_column():
+    vals, _ = trapezoid_line(lambda t: np.stack([np.zeros_like(t), np.exp(-t * t)], axis=1))
+    assert vals[0] == 0.0
+    assert abs(vals[1] - math.sqrt(math.pi)) < 1e-12
+
+
+def test_trapezoid_line_non_decaying_column_raises():
+    with pytest.raises(DivergentIntegralError):
+        trapezoid_line(lambda t: np.stack([np.exp(-t * t), np.ones_like(t)], axis=1))
+
+
+def test_trapezoid_line_one_d_returns_scalars():
+    val, err = trapezoid_line(lambda t: np.exp(-t * t))
+    assert isinstance(val, complex) and isinstance(err, float)
+    assert np.ndim(val) == 0 and np.ndim(err) == 0
 
 
 def test_wynn_accelerates_log2():

@@ -25,7 +25,7 @@ from foxh import (
     mellin_numeric,
     op_elementary,
 )
-from foxh.classical import mellin_line_samples
+from foxh.classical import _support_edges, mellin_line_samples
 from foxh.engine import LiveFunction, tabulate
 from foxh.gammasym import GammaSymbol
 
@@ -303,6 +303,32 @@ def test_ek_left_window_reaches_dead_lower_edge():
     assert abs(ek_fractional("left", 1.0, sigma, eta, grid, 1.0) - ref) < 1e-4 * ref
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_ek_power_far_beyond_support_probe(side):
+    # alpha = 1, sigma = 1 averages of a pure power at |log x| = 120, beyond the
+    # +-100 window that _support_edges probes.  A power is alive at every
+    # scale, however small it gets there, so no support edge may cut the tail:
+    # right, eta = 1: x int_x^inf t^{-2} t^{1/2} dt = 2 x^{1/2};
+    # left, eta = 0: x^{-1} int_0^x t^{-1/2} dt = 2 x^{-1/2}
+    if side == "right":
+        x, eta, c = math.exp(-120.0), 1.0, 0.5
+    else:
+        x, eta, c = math.exp(120.0), 0.0, -0.5
+    f = lambda t: np.asarray(t, dtype=float) ** c
+    val = ek_fractional(side, 1.0, 1.0, eta, f, x)
+    ref = 2.0 * x ** c
+    assert abs(val - ref) < 1e-9 * ref
+
+
+def test_support_edges_only_where_f_is_dead():
+    # an edge needs f to vanish at the +-100 probe end or to decay faster
+    # than any power there; a power gets none, however small it is there
+    assert _support_edges(lambda t: np.exp(-np.asarray(t))) == (None, 5.0)
+    assert _support_edges(lambda t: np.exp(-np.asarray(t) ** 0.06))[1] is not None
+    assert _support_edges(lambda t: np.asarray(t) ** 0.5) == (None, None)
+    assert _support_edges(lambda t: np.asarray(t) ** -0.5) == (None, None)
+
+
 _ek_boundary = dict(
     side=st.sampled_from(["left", "right"]),
     alpha=st.floats(0.3, 2.5),
@@ -395,6 +421,24 @@ def test_laplace_exp_examples():
     assert abs(laplace_mod(1.0, 0.0, EXPF, 3.0) - 0.25) < 1e-11
     ft = TestFunction.power_exp(1.0, 1.0)
     assert abs(laplace_mod(1.0, 0.0, ft, 1.0) - 0.25) < 1e-11
+
+
+def test_laplace_array_matches_closed_form():
+    # int_0^inf e^{-u} e^{-u/x} du / x = 1 / (1 + x), over several blocks of x
+    x = np.exp(np.linspace(-8.0, 8.0, 75))
+    val = laplace_mod(1.0, 0.0, EXPF, x)
+    assert np.max(np.abs(val - 1.0 / (1.0 + x))) < 1e-11
+
+
+@pytest.mark.parametrize("kappa", [1.0, -1.0])
+def test_laplace_array_equals_scalar_calls(kappa):
+    # one column-wise sweep per block of x gives each x its scalar value exactly
+    alpha = 0.3 + 0.7j
+    f = TestFunction.power_exp(0.5, 1.2)
+    x = np.exp(np.linspace(-30.0, 30.0, 200))
+    batch = laplace_mod(kappa, alpha, f, x)
+    single = np.array([laplace_mod(kappa, alpha, f, float(xv)) for xv in x])
+    assert np.array_equal(batch, single)
 
 
 def test_laplace_mellin_identity_spot():
