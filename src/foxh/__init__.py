@@ -32,7 +32,6 @@ from .gammasym import (
     asymptotic_magnitude,
     build_aux_symbol,
     find_zeros_on_line,
-    symbol_compose,
     symbol_from_params,
 )
 from .classical import (
@@ -44,7 +43,6 @@ from .classical import (
     lnur_norm,
     mellin_inverse_numeric,
     mellin_numeric,
-    op_elementary,
 )
 from .mellin_barnes import (
     ContourSpec,

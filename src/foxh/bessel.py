@@ -1,15 +1,10 @@
-"""Bessel J of the first kind and oscillatory Bessel integrals.
+"""Bessel J of the first kind and the phase breakpoints of its oscillation.
 
 J_eta is computed from its ascending series for small argument and the
 Hankel asymptotic expansion for large argument, with the switchover at
 |z| = 12 (cross-validated at the seam in the test suite).  The order may
 be complex with Re(eta) > -1, which the quadrature chains need and which
 rules out deferring to a real-order library routine.
-
-Integrals of g(v) J_eta(xi v) over (0, inf) with slowly decaying g are
-summed arch by arch between consecutive phase breakpoints and accelerated
-as an alternating series; rapidly decaying integrands fall back to plain
-panel quadrature.
 """
 
 from __future__ import annotations
@@ -18,9 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericalError
 from .gammafn import log_gamma
-from .quadrature import gauss_legendre, wynn_epsilon
 
 _SEAM = 12.0
 _SERIES_TERMS = 42
@@ -108,64 +101,3 @@ def phase_breakpoints(eta: complex, count: int) -> np.ndarray:
         - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * (8.0 * b) ** 3)
     zeros = zeros[zeros > 0.25]
     return np.maximum.accumulate(zeros)
-
-
-def _panel_int(g, eta, xi, lo, hi, n=12):
-    x, w = gauss_legendre(n)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    v = mid + half * x
-    vals = np.asarray(g(v), dtype=complex) * bessel_j(eta, xi * v)
-    return half * np.sum(vals * w)
-
-
-def _head_integral(g, eta, xi, v_hi, tol):
-    """(0, v_hi] with a possible integrable singularity at 0: geometric panels."""
-    total = 0.0 + 0.0j
-    hi = v_hi
-    ratio = 0.3
-    for level in range(80):
-        lo = hi * ratio
-        part = _panel_int(g, eta, xi, lo, hi, 14)
-        total += part
-        hi = lo
-        if level >= 3 and abs(part) <= 1e-16 * abs(total) + 1e-300:
-            break
-    return total
-
-
-def oscillatory_bessel_integral(g, eta, xi, v_decay, *, tol=1e-10,
-                                max_arches=64):
-    """Integral of g(v) J_eta(xi v) over (0, inf).
-
-    v_decay estimates where |g| has stopped contributing; beyond it the
-    integrand is dropped.  When many oscillations fit below v_decay the arch
-    sums are accelerated instead of exhausted.
-    """
-    if xi <= 0:
-        raise NumericalError("oscillation scale must be positive")
-    breaks = phase_breakpoints(eta, max_arches + 1) / xi
-    if breaks.size == 0 or breaks[0] >= v_decay:
-        # effectively non-oscillatory over the support
-        return _head_integral(g, eta, xi, v_decay, tol)
-    total = _head_integral(g, eta, xi, float(breaks[0]), tol)
-    partials = []
-    acc = total
-    last_full = None
-    for k in range(len(breaks) - 1):
-        lo, hi = float(breaks[k]), float(breaks[k + 1])
-        if lo >= v_decay:
-            last_full = acc
-            break
-        part = _panel_int(g, eta, xi, min(lo, v_decay), min(hi, v_decay), 12)
-        acc += part
-        partials.append(acc)
-        if abs(part) < tol * max(1.0, abs(acc)) * 1e-2:
-            last_full = acc
-            break
-    if last_full is not None:
-        return last_full
-    est, gap = wynn_epsilon(partials[-40:])
-    if not np.isfinite(est) or gap > 1e-4 * max(1.0, abs(est)):
-        raise NumericalError("oscillatory tail acceleration did not stabilize")
-    return est

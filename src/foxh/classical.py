@@ -1,14 +1,10 @@
 """Classical integral operators on the positive half line.
 
 These are the building blocks every factorization chain is assembled from:
-the numerical Mellin transform and its inverse, the elementary operators
-(power weight, dilation, inversion), Erdelyi-Kober fractional integrals,
-the modified Hankel and Laplace transforms, and weighted-space norms.
-
-Conventions:
-  power weight   (M_z f)(x) = x^z f(x)        Mellin shift s -> s + z
-  dilation       (W_d f)(x) = f(x/d)          Mellin factor d^s
-  inversion      (R f)(x)   = f(1/x)/x        Mellin reflection s -> 1-s
+the numerical Mellin transform and its inverse, Erdelyi-Kober fractional
+integrals, the modified Hankel and Laplace transforms, and weighted-space
+norms.  The elementary operators x^z f(x), f(x/d) and f(1/x)/x are the
+chain primitives PowerWeight, Dilate and Reflect in engine.py.
 """
 
 from __future__ import annotations
@@ -16,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -373,34 +369,6 @@ def mellin_inverse_numeric(F, gamma_line: float, x, *, tol: float = 1e-10,
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return fine[0], err
     return fine, err
-
-
-# ---------------------------------------------------------------------------
-# Elementary operators
-# ---------------------------------------------------------------------------
-
-def op_elementary(kind: str, param, f) -> Callable:
-    """Pointwise elementary operators: 'M' (power weight), 'W' (dilation), 'R'."""
-    if kind == "M":
-        zeta = complex(param)
-
-        def g(x):
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            return np.exp(zeta * np.log(x)) * np.asarray(f(x), dtype=complex)
-
-        return g
-    if kind == "W":
-        d = float(param)
-        if d <= 0:
-            raise ParameterError("dilation factor must be positive")
-        return lambda x: np.asarray(f(np.asarray(x, dtype=float) / d), dtype=complex)
-    if kind == "R":
-        def g(x):
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            return np.asarray(f(1.0 / x), dtype=complex) / x
-
-        return g
-    raise ParameterError(f"unknown elementary operator {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import numpy as np
 
 from .classical import TestFunction
 from .engine import (
+    VERIFY_POINTS,
     apply_plan,
     best_route,
     htransform_direct,
@@ -253,15 +254,11 @@ def cmd_factorize(args) -> int:
 def cmd_verify(args) -> int:
     params = load_params(args.params)
     plan = plan_factorization(params, args.nu, args.r)
-    points = [0.317, -0.317, 0.731, -0.731, 1.173, -1.173, 1.637, -1.637,
-              2.411, -2.411]
-    residuals = []
-    for t in points:
-        residuals.append(verify_plan_symbol(plan, params, points=[t]))
+    residuals = [verify_plan_symbol(plan, params, points=[t]) for t in VERIFY_POINTS]
     report = {
         "case": plan.case_label,
         "line": 1.0 - args.nu,
-        "points": points,
+        "points": VERIFY_POINTS,
         "residuals": residuals,
         "max_residual": max(residuals),
     }

@@ -2,21 +2,30 @@
 
 The transform of a test function can be computed three ways (direct
 integral, Mellin multiplier, differentiated representation) plus a fourth:
-applying the per-case operator factorization chain.  Chains are lists of
-primitive operators applied left to right (first element first); each
-primitive knows its Mellin action, how it moves the space weight, its
-admissibility conditions, and how to apply itself numerically.
+applying the per-case operator factorization chain.  Chains are tuples of
+primitive operators applied left to right (first element first).
 
-Chain composition at the symbol level must reproduce the kernel symbol
-exactly; verify_plan_symbol checks that identity pointwise on the working
-line and is the numerical content of the range theorems used here.
+Each primitive states its Mellin action once, as ``mellin_action()``
+returning (GammaSymbol, a, b): the Mellin transform of its output at s is
+that symbol times the input's transform at a + b s.  Everything else about
+the action is derived from it: the weight of the output space (the input's
+line Re s = nu maps to Re(a + b s) = nu, see ``_out_weight``) and the action
+of a whole chain, which ``chain_action`` composes with
+``GammaSymbol.substitute`` into one symbol and one affine map.  Each
+primitive also knows its admissibility conditions and how to apply itself
+numerically.
+
+A chain factorizes the transform exactly when its composed map is the
+reflection s -> 1 - s and its composed symbol is the kernel symbol;
+verify_plan_symbol checks the map once and the symbol pointwise on the
+working line, the numerical content of the range theorems used here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -26,7 +35,6 @@ from .classical import (
     hankel_mod,
     laplace_mod,
     mellin_line_samples,
-    mellin_numeric,
     mellin_inverse_numeric,
 )
 from .errors import (
@@ -36,12 +44,10 @@ from .errors import (
     ParameterError,
     PoleError,
 )
-from .gammafn import log_gamma
 from .gammasym import GammaSymbol, build_aux_symbol, symbol_from_params
-from .mellin_barnes import choose_contour, eval_hfunction_batch
+from .mellin_barnes import eval_hfunction_batch
 from .params import (
     HParams,
-    Invariants,
     SpaceSpec,
     admissible_range,
     classify_case,
@@ -150,21 +156,28 @@ def _prepared(live: LiveFunction) -> LiveFunction:
     return tabulate(live) if getattr(live, "cost", 0) >= 1 else live
 
 
+def _out_weight(prim, nu: float) -> float:
+    """Weight of prim's output space for an input of weight nu.
+
+    The input's Mellin line Re s = nu must be Re(a + b s), so the output's
+    line, and weight, is (nu - Re a) / b.
+    """
+    _, a, b = prim.mellin_action()
+    return (nu - complex(a).real) / b
+
+
 @dataclass(frozen=True)
 class Reflect:
     kind: str = field(default="reflect", init=False)
 
-    def mellin_step(self, s):
-        return np.zeros_like(np.asarray(s, dtype=complex)), 1.0 - np.asarray(s, dtype=complex)
-
-    def out_nu(self, nu):
-        return 1.0 - nu
+    def mellin_action(self):
+        return GammaSymbol.one(), 1.0, -1.0
 
     def check_space(self, nu, r):
         return None
 
     def apply(self, live: LiveFunction) -> LiveFunction:
-        return LiveFunction(lambda x: live(1.0 / x) / x, 1.0 - live.nu,
+        return LiveFunction(lambda x: live(1.0 / x) / x, _out_weight(self, live.nu),
                             getattr(live, "cost", 0))
 
     def describe(self):
@@ -176,12 +189,8 @@ class PowerWeight:
     zeta: complex
     kind: str = field(default="power-weight", init=False)
 
-    def mellin_step(self, s):
-        s = np.asarray(s, dtype=complex)
-        return np.zeros_like(s), s + self.zeta
-
-    def out_nu(self, nu):
-        return nu - complex(self.zeta).real
+    def mellin_action(self):
+        return GammaSymbol.one(), self.zeta, 1.0
 
     def check_space(self, nu, r):
         return None
@@ -189,7 +198,7 @@ class PowerWeight:
     def apply(self, live: LiveFunction) -> LiveFunction:
         zeta = complex(self.zeta)
         return LiveFunction(
-            lambda x: np.exp(zeta * np.log(x)) * live(x), self.out_nu(live.nu),
+            lambda x: np.exp(zeta * np.log(x)) * live(x), _out_weight(self, live.nu),
             getattr(live, "cost", 0),
         )
 
@@ -206,18 +215,14 @@ class Dilate:
         if self.factor <= 0:
             raise ParameterError("dilation factor must be positive")
 
-    def mellin_step(self, s):
-        s = np.asarray(s, dtype=complex)
-        return s * math.log(self.factor), s
-
-    def out_nu(self, nu):
-        return nu
+    def mellin_action(self):
+        return GammaSymbol.power(self.factor, 0.0, 1.0), 0.0, 1.0
 
     def check_space(self, nu, r):
         return None
 
     def apply(self, live: LiveFunction) -> LiveFunction:
-        return LiveFunction(lambda x: live(x / self.factor), live.nu,
+        return LiveFunction(lambda x: live(x / self.factor), _out_weight(self, live.nu),
                             getattr(live, "cost", 0))
 
     def describe(self):
@@ -231,12 +236,8 @@ class Multiplier:
     strip: Optional[tuple] = None
     kind: str = field(default="multiplier", init=False)
 
-    def mellin_step(self, s):
-        s = np.asarray(s, dtype=complex)
-        return self.symbol.eval_log(s), s
-
-    def out_nu(self, nu):
-        return nu
+    def mellin_action(self):
+        return self.symbol, 0.0, 1.0
 
     def check_space(self, nu, r):
         if not (1.0 < r < math.inf):
@@ -274,7 +275,7 @@ class Multiplier:
             vals = np.where(np.abs(vals) > 12.0 * floor, vals, 0.0)
             return np.where(np.abs(logx) <= horizon, vals, 0.0)
 
-        return LiveFunction(ev, nu_c, cost=1)
+        return LiveFunction(ev, _out_weight(self, nu_c), cost=1)
 
     def describe(self):
         return {"op": "multiplier", "label": self.label,
@@ -288,14 +289,11 @@ class EKLeft:
     eta: complex
     kind: str = field(default="ek-left", init=False)
 
-    def mellin_step(self, s):
-        s = np.asarray(s, dtype=complex)
-        fac = log_gamma(1.0 + self.eta - s / self.sigma) \
-            - log_gamma(1.0 + self.eta + self.alpha - s / self.sigma)
-        return fac, s
-
-    def out_nu(self, nu):
-        return nu
+    def mellin_action(self):
+        # Gamma(1 + eta - s/sigma) / Gamma(1 + eta + alpha - s/sigma)
+        w = -1.0 / self.sigma
+        return GammaSymbol(num=((complex(1.0 + self.eta), w),),
+                           den=((complex(1.0 + self.eta + self.alpha), w),)), 0.0, 1.0
 
     def check_space(self, nu, r):
         if complex(self.alpha).real <= 0:
@@ -310,7 +308,7 @@ class EKLeft:
         src = _prepared(live)
         return LiveFunction(
             lambda x: ek_fractional("left", self.alpha, self.sigma, self.eta, src, x),
-            live.nu, cost=2,
+            _out_weight(self, live.nu), cost=2,
         )
 
     def describe(self):
@@ -325,14 +323,11 @@ class EKRight:
     eta: complex
     kind: str = field(default="ek-right", init=False)
 
-    def mellin_step(self, s):
-        s = np.asarray(s, dtype=complex)
-        fac = log_gamma(self.eta + s / self.sigma) \
-            - log_gamma(self.eta + self.alpha + s / self.sigma)
-        return fac, s
-
-    def out_nu(self, nu):
-        return nu
+    def mellin_action(self):
+        # Gamma(eta + s/sigma) / Gamma(eta + alpha + s/sigma)
+        w = 1.0 / self.sigma
+        return GammaSymbol(num=((complex(self.eta), w),),
+                           den=((complex(self.eta + self.alpha), w),)), 0.0, 1.0
 
     def check_space(self, nu, r):
         if complex(self.alpha).real <= 0:
@@ -347,7 +342,7 @@ class EKRight:
         src = _prepared(live)
         return LiveFunction(
             lambda x: ek_fractional("right", self.alpha, self.sigma, self.eta, src, x),
-            live.nu, cost=2,
+            _out_weight(self, live.nu), cost=2,
         )
 
     def describe(self):
@@ -361,17 +356,14 @@ class HankelOp:
     order: complex  # eta
     kind: str = field(default="hankel", init=False)
 
-    def mellin_step(self, s):
-        s = np.asarray(s, dtype=complex)
-        kap = self.index
-        arg = kap * (s - 0.5)
-        fac = arg * math.log(2.0 / abs(kap)) \
-            + log_gamma((self.order + arg + 1.0) / 2.0) \
-            - log_gamma((self.order - arg + 1.0) / 2.0)
-        return fac, 1.0 - s
-
-    def out_nu(self, nu):
-        return 1.0 - nu
+    def mellin_action(self):
+        # (2/|kappa|)^z Gamma((eta + 1 + z)/2) / Gamma((eta + 1 - z)/2),
+        # z = kappa (s - 1/2), on the reflected argument 1 - s
+        half = self.index / 2.0
+        eta = complex(self.order)
+        sym = GammaSymbol(num=(((eta + 1.0 - half) / 2.0, half),),
+                          den=(((eta + 1.0 + half) / 2.0, -half),))
+        return sym * GammaSymbol.power(2.0 / abs(self.index), -half, self.index), 1.0, -1.0
 
     def check_space(self, nu, r):
         if not (1.0 < r < math.inf):
@@ -393,7 +385,7 @@ class HankelOp:
         src = _prepared(live)
         return LiveFunction(
             lambda x: hankel_mod(self.index, self.order, src, x),
-            1.0 - live.nu, cost=2,
+            _out_weight(self, live.nu), cost=2,
         )
 
     def describe(self):
@@ -407,15 +399,12 @@ class LaplaceOp:
     offset: complex  # alpha
     kind: str = field(default="laplace", init=False)
 
-    def mellin_step(self, s):
-        s = np.asarray(s, dtype=complex)
+    def mellin_action(self):
+        # Gamma(z) |kappa|^(1 - z), z = kappa (s - alpha), on the reflected
+        # argument 1 - s
         kap = self.index
-        arg = kap * (s - self.offset)
-        fac = log_gamma(arg) + (1.0 - arg) * math.log(abs(kap))
-        return fac, 1.0 - s
-
-    def out_nu(self, nu):
-        return 1.0 - nu
+        sym = GammaSymbol(num=((complex(-kap * self.offset), kap),))
+        return sym * GammaSymbol.power(abs(kap), 1.0 + kap * self.offset, -kap), 1.0, -1.0
 
     def check_space(self, nu, r):
         a = complex(self.offset).real
@@ -430,7 +419,7 @@ class LaplaceOp:
         src = _prepared(live)
         return LiveFunction(
             lambda x: laplace_mod(self.index, self.offset, src, x),
-            1.0 - live.nu, cost=2,
+            _out_weight(self, live.nu), cost=2,
         )
 
     def describe(self):
@@ -490,7 +479,7 @@ def _dry_run_spaces(chain, nu, r):
             raise HypothesisError(
                 f"chain position {pos} ({prim.kind}): {exc.condition}", exc.detail
             ) from None
-        cur = prim.out_nu(cur)
+        cur = _out_weight(prim, cur)
     return cur
 
 
@@ -640,45 +629,63 @@ def plan_factorization(params: HParams, nu: float, r: float) -> FactorizationPla
     return FactorizationPlan(case, chain, aux, cp, nu, r, mapping, params)
 
 
-def chain_mellin_log(chain, s):
-    """Composed Mellin action of a chain: (log factor, final argument)."""
-    s = np.asarray(s, dtype=complex)
-    total = np.zeros_like(s)
-    arg = s.copy()
-    for prim in reversed(list(chain)):
-        fac, arg = prim.mellin_step(arg)
-        total = total + fac
-    return total, arg
+def _exact_sum(terms) -> complex:
+    return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+
+
+def chain_action(chain) -> tuple:
+    """Composed Mellin action (symbol, a, b) of a chain, first element first.
+
+    M[chain f](s) = symbol(s) * M[f](a + b s).  The chain is folded from its
+    last primitive back, so each primitive's own symbol is substituted into
+    the map accumulated after it.  The constant a is kept as a list of
+    terms, each primitive's constant times the slopes of the primitives
+    before it, and summed with fsum: with slopes +-1 the terms are exact, so
+    shifts that cancel (x^z ... x^-z around a reflection) give exactly 0.
+    """
+    sym, terms, b = GammaSymbol.one(), [], 1.0
+    for prim in reversed(chain):
+        p_sym, pa, pb = prim.mellin_action()
+        sym = sym * p_sym.substitute(_exact_sum(terms), b)
+        terms = [complex(pa)] + [pb * t for t in terms]
+        b = pb * b
+    return sym, _exact_sum(terms), b
+
+
+VERIFY_POINTS = (0.317, -0.317, 0.731, -0.731, 1.173, -1.173, 1.637, -1.637,
+                 2.411, -2.411)
 
 
 def verify_plan_symbol(plan: FactorizationPlan, params: Optional[HParams] = None,
                        points=None) -> float:
     """Max relative deviation of the chain's composed symbol from the kernel's.
 
-    Sampled on the working line Re s = 1 - nu; points landing on a pole of
-    any factor are nudged along the line.
+    The composed argument map must be exactly the reflection s -> 1 - s.
+    The symbols are compared at Im s = points (default VERIFY_POINTS) on the
+    working line Re s = 1 - nu; points landing on a pole of any factor are
+    nudged along the line.
     """
     if params is None:
         params = plan.params
     sym = symbol_from_params(params)
+    chain_sym, a, b = chain_action(plan.chain)
+    if (a, b) != (1.0, -1.0):
+        raise NumericalError("chain argument map does not reflect the line")
     line = 1.0 - plan.nu
     if points is None:
-        points = [0.317, -0.317, 0.731, -0.731, 1.173, -1.173, 1.637, -1.637,
-                  2.411, -2.411]
+        points = VERIFY_POINTS
     worst = 0.0
     for t in points:
         for attempt in range(4):
             s = complex(line, t + 0.0371 * attempt)
             try:
-                total, arg = chain_mellin_log(plan.chain, s)
+                total = chain_sym.eval_log(s)
                 ref = sym.eval_log(s)
                 break
             except PoleError:
                 continue
         else:
             raise NumericalError(f"could not find a pole-free sample near Im s = {t}")
-        if abs(complex(arg) - (1.0 - s)) > 1e-9:
-            raise NumericalError("chain argument map does not reflect the line")
         worst = max(worst, abs(np.exp(complex(total) - complex(ref)) - 1.0))
     return worst
 

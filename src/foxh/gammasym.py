@@ -3,9 +3,10 @@
 A symbol is a finite product of gamma factors Gamma(c + w s) upstairs and
 downstairs (w signed, so reflected factors Gamma(c - |w| s) need no special
 casing) times power prefactors base^(u + v s) with positive real base.
-This algebra is closed under multiplication, argument reflection s -> 1-s,
-argument scaling s -> k s, and multiplication by power prefactors, which is
-exactly what the per-case auxiliary multiplier symbols require.
+This algebra is closed under multiplication and under affine substitution
+s -> a + b s (reflection s -> 1-s and scaling s -> k s are special cases),
+which is what the per-case auxiliary multiplier symbols and the composed
+actions of factorization chains require.
 
 Evaluation goes through summed log-gammas, so magnitudes far beyond float
 range are usable in log form, and the imaginary part varies continuously
@@ -37,7 +38,15 @@ _DEFLATION_TOL = 1e-10
 
 @dataclass(frozen=True)
 class GammaSymbol:
-    """Product of gamma factors and power prefactors, as a Mellin symbol."""
+    """Product of gamma factors and power prefactors, as a Mellin symbol.
+
+    num and den hold pairs (c, w) for Gamma(c + w s); powers holds triples
+    (base, u, v) for base^(u + v s).  Symbols multiply with ``*``, and
+    ``substitute(a, b)`` gives the symbol at a + b s, so every operator with
+    a Mellin action is one symbol plus one affine argument map: the
+    factorization-chain primitives in engine.py report theirs through
+    ``mellin_action()`` and a whole chain composes into one such pair.
+    """
 
     num: tuple[tuple[complex, float], ...] = ()
     den: tuple[tuple[complex, float], ...] = ()
@@ -50,20 +59,12 @@ class GammaSymbol:
             self.num + other.num, self.den + other.den, self.powers + other.powers
         )
 
-    def reflect(self) -> "GammaSymbol":
-        """The symbol evaluated at 1 - s, as a new symbol."""
+    def substitute(self, a: complex, b: float) -> "GammaSymbol":
+        """The symbol evaluated at a + b s, as a new symbol (b real)."""
         return GammaSymbol(
-            tuple((c + w, -w) for (c, w) in self.num),
-            tuple((c + w, -w) for (c, w) in self.den),
-            tuple((b, u + v, -v) for (b, u, v) in self.powers),
-        )
-
-    def scale_argument(self, k: float) -> "GammaSymbol":
-        """The symbol evaluated at k*s, as a new symbol."""
-        return GammaSymbol(
-            tuple((c, w * k) for (c, w) in self.num),
-            tuple((c, w * k) for (c, w) in self.den),
-            tuple((b, u, v * k) for (b, u, v) in self.powers),
+            tuple((c + w * a, w * b) for (c, w) in self.num),
+            tuple((c + w * a, w * b) for (c, w) in self.den),
+            tuple((base, u + v * a, v * b) for (base, u, v) in self.powers),
         )
 
     def inverse(self) -> "GammaSymbol":
@@ -206,28 +207,6 @@ def symbol_from_params(params: HParams) -> GammaSymbol:
     return GammaSymbol(tuple(num), tuple(den))
 
 
-def symbol_compose(kind: str, *operands) -> GammaSymbol:
-    """Closure operations: multiply, reflect, scale-argument, power-prefactor."""
-    if kind == "multiply":
-        out = GammaSymbol.one()
-        for op in operands:
-            out = out * op
-        return out
-    if kind == "reflect":
-        (sym,) = operands
-        return sym.reflect()
-    if kind == "scale-argument":
-        sym, k = operands
-        return sym.scale_argument(float(k))
-    if kind == "power-prefactor":
-        if len(operands) == 3:
-            base, u, v = operands
-            return GammaSymbol.power(base, u, v)
-        base, u, v, sym = operands
-        return GammaSymbol.power(base, u, v) * sym
-    raise ValueError(f"unknown composition kind: {kind}")
-
-
 # ---------------------------------------------------------------------------
 # Auxiliary multiplier symbols for the per-case factorizations
 # ---------------------------------------------------------------------------
@@ -278,7 +257,7 @@ def build_aux_symbol(params: HParams, inv: Invariants, case: int,
     if case == 3:
         if not math.isfinite(alpha):
             raise ParameterError("finite lower strip edge required")
-        refl = sym.reflect()
+        refl = sym.substitute(1.0, -1.0)
         pref = GammaSymbol.power(inv.delta, -1.0, 1.0)
         pref = pref * GammaSymbol.power(a1, mu + inv.delta_cap, -inv.delta_cap)
         quot = GammaSymbol(

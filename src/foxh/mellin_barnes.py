@@ -27,7 +27,7 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
-from .gammasym import GammaSymbol, symbol_from_params
+from .gammasym import symbol_from_params
 from .params import HParams, Invariants, derive_invariants
 from .quadrature import panel_rule
 

@@ -28,14 +28,13 @@ from foxh import (
     lnur_norm,
     log_gamma,
     mellin_numeric,
-    op_elementary,
     plan_factorization,
     symbol_from_params,
     validate_params,
     verify_plan_symbol,
 )
 from foxh.classical import mellin_line_samples
-from foxh.engine import LiveFunction, tabulate
+from foxh.engine import Dilate, LiveFunction, PowerWeight, Reflect, tabulate
 from foxh.gammasym import AsymptoticEstimate, asymptotic_log_derivative
 from foxh.cli import run_cli
 
@@ -216,24 +215,26 @@ def test_criterion_05_elementary_operator_laws():
     for f in fns:
         for nu, r in ((0.8, 2.0), (1.2, 3.0)):
             base = lnur_norm(f, nu, r)
+            live = LiveFunction(f, nu)
             zeta = 0.4 + 0.2j
-            Mf = op_elementary("M", zeta, f)
+            Mf = PowerWeight(zeta).apply(live)
             assert abs(lnur_norm(Mf, nu - zeta.real, r) - base) < 1e-9
-            Rf = op_elementary("R", None, f)
+            Rf = Reflect().apply(live)
             assert abs(lnur_norm(Rf, 1.0 - nu, r) - base) < 1e-9
             d = 2.3
-            Wf = op_elementary("W", d, f)
+            Wf = Dilate(d).apply(live)
             assert abs(lnur_norm(Wf, nu, r) - d ** nu * base) < 1e-9 * d ** nu
     f = fns[0]
+    live = LiveFunction(f, 0.5)
     s = 1.1 + 0.6j
     zeta = 0.35 + 0.1j
     d = 1.7
-    assert abs(mellin_numeric(op_elementary("M", zeta, f), s)
+    assert abs(mellin_numeric(PowerWeight(zeta).apply(live), s)
                - f.mellin(s + zeta)) < 1e-8
-    assert abs(mellin_numeric(op_elementary("W", d, f), s)
+    assert abs(mellin_numeric(Dilate(d).apply(live), s)
                - d ** s * f.mellin(s)) < 1e-8
     s_r = 0.6 + 0.6j
-    assert abs(mellin_numeric(op_elementary("R", None, f), s_r)
+    assert abs(mellin_numeric(Reflect().apply(live), s_r)
                - f.mellin(1.0 - s_r)) < 1e-8
     report(5, "power-weight/inversion isometries, dilation scaling, bookkeeping")
 

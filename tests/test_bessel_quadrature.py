@@ -1,4 +1,8 @@
-"""Bessel J, Gauss rules, series acceleration, oscillatory integrals."""
+"""Bessel J, Gauss rules, series acceleration, oscillatory integrals.
+
+The oscillatory Bessel integrals are taken with hankel_mod at kappa = 1,
+(H f)(x) = integral of (x t)^(1/2) J_eta(x t) f(t) dt.
+"""
 
 import math
 
@@ -7,7 +11,8 @@ import numpy as np
 import pytest
 from scipy.special import jv as scipy_jv, roots_jacobi
 
-from foxh.bessel import bessel_j, oscillatory_bessel_integral, phase_breakpoints
+from foxh.bessel import bessel_j, phase_breakpoints
+from foxh.classical import hankel_mod
 from foxh.errors import DivergentIntegralError
 from foxh.quadrature import (
     gauss_jacobi,
@@ -126,18 +131,19 @@ def test_wynn_handles_converged_input():
 
 
 def test_oscillatory_integral_exponential_weight():
-    val = oscillatory_bessel_integral(lambda v: np.exp(-v), 0.0, 3.0, 45.0,
-                                      tol=1e-12)
+    # integral of e^{-v} J_0(3 v) dv = 1/sqrt(10)
+    val = hankel_mod(1.0, 0.0, lambda t: np.exp(-t) / np.sqrt(t), 3.0) / math.sqrt(3.0)
     assert abs(val - 1.0 / math.sqrt(10.0)) < 1e-11
 
 
 def test_oscillatory_integral_weber():
-    val = oscillatory_bessel_integral(lambda v: np.ones_like(v), 0.0, 1.0,
-                                      1e9, tol=1e-10)
+    # integral of J_0(v) dv = 1
+    val = hankel_mod(1.0, 0.0, lambda t: t ** -0.5, 1.0)
     assert abs(val - 1.0) < 1e-9
 
 
 def test_oscillatory_integral_gaussian_pair():
-    val = oscillatory_bessel_integral(lambda v: np.exp(-v * v / 2) * v * v,
-                                      1.0, 5.0, 15.0, tol=1e-11)
+    # integral of v^2 e^{-v^2/2} J_1(5 v) dv = 5 e^{-12.5}
+    val = hankel_mod(1.0, 1.0, lambda t: t ** 1.5 * np.exp(-t * t / 2), 5.0) \
+        / math.sqrt(5.0)
     assert abs(val - 5.0 * math.exp(-12.5)) < 1e-12

@@ -23,10 +23,9 @@ from foxh import (
     log_gamma,
     mellin_inverse_numeric,
     mellin_numeric,
-    op_elementary,
 )
 from foxh.classical import _support_edges, mellin_line_samples
-from foxh.engine import LiveFunction, tabulate
+from foxh.engine import Dilate, LiveFunction, PowerWeight, Reflect, tabulate
 from foxh.gammasym import GammaSymbol
 
 from conftest import exp_series
@@ -112,25 +111,25 @@ def test_inverse_mellin_constant_refused():
 # -- elementary operators ----------------------------------------------------
 
 def test_inversion_on_exp():
-    R = op_elementary("R", None, EXPF)
+    R = Reflect().apply(LiveFunction(EXPF, 0.5))
     assert abs(complex(R(2.0)[0]) - 0.5 * math.exp(-0.5)) < 1e-15
 
 
 def test_dilation_group_property():
-    W2 = op_elementary("W", 2.0, EXPF)
-    Whalf = op_elementary("W", 0.5, W2)
+    W2 = Dilate(2.0).apply(LiveFunction(EXPF, 0.5))
+    Whalf = Dilate(0.5).apply(W2)
     xs = np.array([0.31, 1.0, 2.7, 8.9])
     assert np.max(np.abs(Whalf(xs) - EXPF(xs))) == 0.0
 
 
 def test_dilation_rejects_nonpositive():
     with pytest.raises(ParameterError):
-        op_elementary("W", -1.0, EXPF)
+        Dilate(-1.0)
 
 
 def test_power_weight_mellin_shift():
     # Mellin of x f(x) at s equals Mellin of f at s+1
-    Mf = op_elementary("M", 1.0, EXPF)
+    Mf = PowerWeight(1.0).apply(LiveFunction(EXPF, 0.5))
     val = mellin_numeric(Mf, 1.0)
     assert abs(val - EXPF.mellin(2.0)) < 1e-10
 
@@ -138,16 +137,20 @@ def test_power_weight_mellin_shift():
 def test_isometries_and_scaling_laws():
     nu, r = 0.8, 2.0
     base = lnur_norm(EXPF, nu, r)
+    live = LiveFunction(EXPF, nu)
     # power weight: norm moves to nu - Re zeta
     zeta = 0.4
-    Mf = op_elementary("M", zeta, EXPF)
+    Mf = PowerWeight(zeta).apply(live)
+    assert Mf.nu == nu - zeta
     assert abs(lnur_norm(Mf, nu - zeta, r) - base) < 1e-9
     # inversion: norm moves to 1 - nu
-    Rf = op_elementary("R", None, EXPF)
+    Rf = Reflect().apply(live)
+    assert Rf.nu == 1.0 - nu
     assert abs(lnur_norm(Rf, 1.0 - nu, r) - base) < 1e-9
     # dilation: norm scales by d^nu
     d = 2.5
-    Wf = op_elementary("W", d, EXPF)
+    Wf = Dilate(d).apply(live)
+    assert Wf.nu == nu
     assert abs(lnur_norm(Wf, nu, r) - d ** nu * base) < 1e-9 * d ** nu
 
 
@@ -155,9 +158,10 @@ def test_mellin_bookkeeping_all_three():
     s = 1.2 + 0.7j
     d = 1.7
     zeta = 0.35 + 0.1j
-    Mf = op_elementary("M", zeta, EXPF)
-    Wf = op_elementary("W", d, EXPF)
-    Rf = op_elementary("R", None, EXPF)
+    live = LiveFunction(EXPF, 0.5)
+    Mf = PowerWeight(zeta).apply(live)
+    Wf = Dilate(d).apply(live)
+    Rf = Reflect().apply(live)
     assert abs(mellin_numeric(Mf, s) - EXPF.mellin(s + zeta)) < 1e-8
     assert abs(mellin_numeric(Wf, s) - d ** s * EXPF.mellin(s)) < 1e-8
     # the inverted function's transform lives on Re s < 1

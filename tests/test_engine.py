@@ -1,13 +1,16 @@
 """Factorization plans, route agreement, representation route, bilinearity."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from foxh import (
+    FoxHError,
     HypothesisError,
     NoAdmissibleContourError,
+    NumericalError,
     SpaceSpec,
     TestFunction,
     apply_plan,
@@ -17,13 +20,22 @@ from foxh import (
     htransform_direct,
     htransform_mellin,
     htransform_repr,
+    log_gamma,
     plan_factorization,
     validate_params,
     verify_plan_symbol,
 )
-from foxh.engine import LiveFunction, chain_mellin_log, tabulate
+from foxh.engine import (
+    EKLeft,
+    EKRight,
+    HankelOp,
+    LaplaceOp,
+    LiveFunction,
+    chain_action,
+    tabulate,
+)
 
-from conftest import canonical_params
+from conftest import canonical_params, random_params
 
 EXP_K = validate_params(1, 0, 0, 1, [], [(0.0, 1.0)])
 BETA_K = validate_params(1, 1, 1, 1, [(0.0, 1.0)], [(0.0, 1.0)])
@@ -105,8 +117,70 @@ def test_plan_rejects_strip_violation():
 def test_chain_argument_map_reflects():
     plan = plan_factorization(BETA_K, 0.5, 2.0)
     s = 0.5 + 1.3j
-    _, arg = chain_mellin_log(plan.chain, s)
-    assert abs(complex(arg) - (1.0 - s)) < 1e-12
+    _, a, b = chain_action(plan.chain)
+    assert abs(complex(a + b * s) - (1.0 - s)) < 1e-12
+
+
+def test_verify_rejects_chain_that_does_not_reflect():
+    plan = plan_factorization(EXP_K, 0.5, 2.0)
+    broken = dataclasses.replace(plan, chain=plan.chain[1:])
+    with pytest.raises(NumericalError, match="reflect"):
+        verify_plan_symbol(broken)
+
+
+def _log_ratio_close(got, ref, tol=1e-12):
+    return abs(np.exp(complex(got) - complex(ref)) - 1.0) < tol
+
+
+def test_mellin_action_matches_closed_forms(rng):
+    # the gamma formulas of test_criterion_04, as (symbol, a, b) actions
+    for trial in range(40):
+        cplx = trial % 2 == 1
+        alpha = complex(rng.uniform(0.3, 2.0), rng.uniform(-0.5, 0.5) if cplx else 0.0)
+        eta = complex(rng.uniform(-0.5, 1.5), rng.uniform(-0.5, 0.5) if cplx else 0.0)
+        sigma = rng.uniform(0.4, 2.0)
+        kap = rng.choice([-1.0, 1.0]) * rng.uniform(0.4, 2.5)
+        s = complex(rng.uniform(-1.0, 2.0), rng.uniform(-3.0, 3.0))
+
+        sym, a, b = EKLeft(alpha, sigma, eta).mellin_action()
+        assert (a, b) == (0.0, 1.0)
+        assert _log_ratio_close(sym.eval_log(s), log_gamma(1 + eta - s / sigma)
+                                - log_gamma(1 + eta + alpha - s / sigma))
+
+        sym, a, b = EKRight(alpha, sigma, eta).mellin_action()
+        assert (a, b) == (0.0, 1.0)
+        assert _log_ratio_close(sym.eval_log(s), log_gamma(eta + s / sigma)
+                                - log_gamma(eta + alpha + s / sigma))
+
+        sym, a, b = HankelOp(kap, eta).mellin_action()
+        assert (a, b) == (1.0, -1.0)
+        arg = kap * (s - 0.5)
+        assert _log_ratio_close(sym.eval_log(s), arg * math.log(2 / abs(kap))
+                                + log_gamma((eta + arg + 1) / 2)
+                                - log_gamma((eta - arg + 1) / 2))
+
+        sym, a, b = LaplaceOp(kap, alpha - 1.0).mellin_action()
+        assert (a, b) == (1.0, -1.0)
+        arg = kap * (s - (alpha - 1.0))
+        assert _log_ratio_close(sym.eval_log(s), log_gamma(arg)
+                                + (1 - arg) * math.log(abs(kap)))
+
+
+def test_verify_plan_symbol_on_random_plans(rng):
+    checked = 0
+    while checked < 200:
+        params = random_params(rng)
+        inv = derive_invariants(params)
+        if inv.case_label is None:
+            continue
+        hi = inv.beta_high if math.isfinite(inv.beta_high) else inv.alpha_low + 2.0
+        lo = inv.alpha_low if math.isfinite(inv.alpha_low) else hi - 2.0
+        try:
+            plan = plan_factorization(params, 1.0 - 0.5 * (lo + hi), 2.0)
+        except FoxHError:
+            continue
+        assert verify_plan_symbol(plan) <= 1e-10, params
+        checked += 1
 
 
 def test_plan_json_roundtrip_fields():

@@ -8,13 +8,13 @@ import pytest
 from foxh import (
     GammaSymbol,
     NumericalError,
+    PoleError,
     PoleOnLineError,
     asymptotic_log_derivative,
     asymptotic_magnitude,
     build_aux_symbol,
     derive_invariants,
     find_zeros_on_line,
-    symbol_compose,
     symbol_from_params,
     transpose_params,
     validate_params,
@@ -58,22 +58,37 @@ def test_symbol_counts_match_orders(rng):
 
 def test_compose_multiply_and_reflect():
     g_s = GammaSymbol(num=((0j, 1.0),))           # Gamma(s)
-    g_refl = symbol_compose("reflect", g_s)       # Gamma(1-s)
+    g_refl = g_s.substitute(1.0, -1.0)            # Gamma(1-s)
     assert abs(g_refl.eval(0.0) - 1.0) < 1e-13
-    prod = symbol_compose("multiply", g_s, GammaSymbol(num=((1.0 + 0j, -1.0),)))
+    prod = g_s * GammaSymbol(num=((1.0 + 0j, -1.0),))
     assert abs(prod.eval(0.5) - math.pi) < 1e-12  # Gamma(1/2)^2
 
 
 def test_compose_power_prefactor():
     g_s = GammaSymbol(num=((0j, 1.0),))
-    comp = symbol_compose("power-prefactor", 2.0, 0.0, -1.0, g_s)
+    comp = GammaSymbol.power(2.0, 0.0, -1.0) * g_s
     assert abs(comp.eval(1.0) - 0.5) < 1e-13      # 2^-1 Gamma(1)
 
 
 def test_compose_scale_argument():
     g_s = GammaSymbol(num=((0j, 1.0),))
-    scaled = symbol_compose("scale-argument", g_s, 2.0)
+    scaled = g_s.substitute(0.0, 2.0)             # Gamma(2s)
     assert abs(scaled.eval(0.25) - math.sqrt(math.pi)) < 1e-12
+
+
+def test_substitute_is_evaluation_at_affine_argument(rng):
+    for _ in range(10):
+        sym = symbol_from_params(random_params(rng)) \
+            * GammaSymbol.power(rng.uniform(0.2, 3.0), 0.3 - 0.1j, rng.uniform(-2, 2))
+        a = complex(rng.uniform(-1, 1), rng.uniform(-0.5, 0.5))
+        b = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 2.0))
+        s = complex(rng.uniform(-0.5, 0.5), rng.uniform(-3, 3))
+        try:
+            ref = sym.eval_log(a + b * s)
+        except PoleError:
+            continue
+        got = sym.substitute(a, b).eval_log(s)
+        assert abs(np.exp(got - ref) - 1.0) < 1e-12
 
 
 def test_eval_log_continuity_along_contour():
