@@ -29,6 +29,7 @@ from .quadrature import (
     gauss_legendre,
     jacobi_unit_interval,
     panel_rule,
+    refine_line,
     trapezoid_line,
     wynn_epsilon,
 )
@@ -271,7 +272,7 @@ def mellin_numeric(f, s, *, tol: float = 1e-11) -> complex:
     return value
 
 
-def mellin_line_samples(fn, s_nodes, *, tol: float = 1e-12, center: float = 0.0):
+def mellin_line_samples(fn, s_nodes):
     """Mellin transform of fn at many points on one vertical line.
 
     All nodes must share their real part.  The integrand envelope is probed
@@ -291,7 +292,7 @@ def mellin_line_samples(fn, s_nodes, *, tol: float = 1e-12, center: float = 0.0)
 
     # expand the support symmetrically in blocks until the envelope dies;
     # a silent first probe only means the support sits farther out
-    lo, hi = center - 4.0, center + 4.0
+    lo, hi = -4.0, 4.0
     probe = 0.0
     for _ in range(200):
         taus = np.arange(lo, hi + 0.5, 0.5)
@@ -339,12 +340,11 @@ def _decay_truncation(F, gamma_line: float, tol: float):
     raise DivergentIntegralError("no decay on the inversion line")
 
 
-def mellin_inverse_numeric(F, gamma_line: float, x, *, tol: float = 1e-10,
-                           half_height: Optional[float] = None,
-                           nodes_per_unit: int = 10):
+def mellin_inverse_numeric(F, gamma_line: float, x, *, tol: float = 1e-10):
     """Inverse Mellin transform along Re s = gamma_line, at positive x.
 
     F is a callable on complex arrays (a GammaSymbol's eval also works).
+    Truncated where |F| has decayed to tol, refined to an error of tol/2.
     Returns (values, error_estimate) with values shaped like x.
     """
     if isinstance(F, GammaSymbol):
@@ -353,19 +353,11 @@ def mellin_inverse_numeric(F, gamma_line: float, x, *, tol: float = 1e-10,
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x_arr <= 0):
         raise ParameterError("inverse Mellin needs positive arguments")
-    T = half_height if half_height is not None else _decay_truncation(F, gamma_line, tol)
-    npu = max(nodes_per_unit, int(math.ceil(1.5 * float(np.max(np.abs(np.log(x_arr)))))))
-
-    def quad(npp):
-        t, w = panel_rule(-T, T, 1.0, npp)
-        s = gamma_line + 1j * t
-        Fv = np.asarray(F(s), dtype=complex)
-        mat = np.exp(-np.outer(np.log(x_arr), s))
-        return (mat @ (Fv * w)) / (2.0 * math.pi)
-
-    coarse = quad(npu)
-    fine = quad(int(npu * 1.6) + 2)
-    err = float(np.max(np.abs(fine - coarse)))
+    T = _decay_truncation(F, gamma_line, tol)
+    logx = np.log(x_arr)
+    npu = max(10, int(math.ceil(1.5 * float(np.max(np.abs(logx))))))
+    fine, qerr = refine_line(F, gamma_line, T, logx, npu, tol)
+    err = float(np.max(qerr))
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return fine[0], err
     return fine, err

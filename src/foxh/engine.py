@@ -45,7 +45,7 @@ from .errors import (
     PoleError,
 )
 from .gammasym import GammaSymbol, build_aux_symbol, symbol_from_params
-from .mellin_barnes import eval_hfunction_batch
+from .mellin_barnes import kernel_evaluator
 from .params import (
     HParams,
     SpaceSpec,
@@ -55,7 +55,10 @@ from .params import (
     transpose_params,
     validate_params,
 )
-from .quadrature import panel_rule, trapezoid_line
+from .quadrature import LineRule, trapezoid_line
+
+# Multiplier.apply's line: half height and Gauss-Legendre nodes per unit
+_MULTIPLIER_HALF_HEIGHT, _MULTIPLIER_NODES = 48.0, 16
 
 
 # ---------------------------------------------------------------------------
@@ -249,28 +252,22 @@ class Multiplier:
                     "multiplier strip", f"need {lo:g} < {nu:g} < {hi:g}"
                 )
 
-    def apply(self, live: LiveFunction, *, half_height: float = 48.0,
-              nodes_per_panel: int = 16) -> LiveFunction:
+    def apply(self, live: LiveFunction) -> LiveFunction:
         nu_c = live.nu
-        t, w = panel_rule(-half_height, half_height, 1.0, nodes_per_panel)
-        s_nodes = nu_c + 1j * t
-        mg = mellin_line_samples(live, s_nodes)
-        msym = self.symbol.eval(s_nodes)
-        coeff = w * msym * mg / (2.0 * math.pi)
+        rule = LineRule(lambda s: self.symbol.eval(s) * mellin_line_samples(live, s),
+                        nu_c, _MULTIPLIER_HALF_HEIGHT, _MULTIPLIER_NODES)
         # drop numerically dead contour nodes
-        keep = np.abs(coeff) > np.max(np.abs(coeff)) * 1e-18
-        s_keep, c_keep = s_nodes[keep], coeff[keep]
+        mags = np.abs(rule.coeff)
+        keep = mags > np.max(mags) * 1e-18
         # below this x^(-nu)-scaled floor the truncated inversion is noise
-        noise_const = float(
-            np.sum(np.abs(coeff[~keep])) + np.sum(np.abs(c_keep)) * 1e-15
-        )
+        noise_const = float(np.sum(mags[~keep]) + np.sum(mags[keep]) * 1e-15)
+        rule.s, rule.coeff = rule.s[keep], rule.coeff[keep]
         # the discrete contour sum aliases beyond its resolution horizon
-        horizon = 0.75 * math.pi * nodes_per_panel
+        horizon = 0.75 * math.pi * _MULTIPLIER_NODES
 
         def ev(x):
             logx = np.log(x)
-            mat = np.exp(-np.outer(logx, s_keep))
-            vals = mat @ c_keep
+            vals = rule(logx)
             floor = noise_const * np.exp(-nu_c * logx)
             vals = np.where(np.abs(vals) > 12.0 * floor, vals, 0.0)
             return np.where(np.abs(logx) <= horizon, vals, 0.0)
@@ -735,15 +732,16 @@ def htransform_direct(params: HParams, f, xs, space: SpaceSpec,
     if isinstance(f, TestFunction) and not f.in_space(space.nu, space.r):
         raise HypothesisError("f in weighted space", f"nu={space.nu:g}")
     xs_arr = np.atleast_1d(np.asarray(xs, dtype=float))
+    if np.any(xs_arr <= 0) or not np.all(np.isfinite(xs_arr)):
+        raise ParameterError("x must be positive")
     ktol = tol * 1e-2
+    kernel = kernel_evaluator(params, min(ktol, 1e-10)).fine
     values = np.empty(xs_arr.shape, dtype=complex)
     errs = np.empty(xs_arr.shape, dtype=float)
     for i, xv in enumerate(xs_arr):
         def g(tau):
             t = np.exp(tau)
-            res = eval_hfunction_batch(params, xv * t, None, ktol)
-            kv = np.array([rr.value for rr in res])
-            return kv * np.asarray(f(t), dtype=complex) * t
+            return kernel(math.log(xv) + tau) * np.asarray(f(t), dtype=complex) * t
 
         val, err = trapezoid_line(g, tol=tol)
         values[i] = val

@@ -6,7 +6,7 @@ automatically: midpoint of a bounded strip, unit offset from a single
 finite edge, or shifted toward the decaying side when only algebraic decay
 is available.  Truncation is controlled by the magnitude envelope of the
 symbol (a true bound once the asymptotic regime is reached), quadrature by
-composite Gauss-Legendre panels with density doubling.
+the LineRule of quadrature.py (refine_line for an explicit contour).
 
 Only vertical contours are supported.  Kernels whose symbol does not decay
 on any admissible vertical line (the balanced cases, and oscillatory ones
@@ -29,10 +29,10 @@ from .errors import (
 )
 from .gammasym import symbol_from_params
 from .params import HParams, Invariants, derive_invariants
-from .quadrature import panel_rule
+from .quadrature import NODE_BUDGET, LineRule, refine_line
 
 _T_CAP = 2.0e4
-_NODE_BUDGET = 2_000_000
+_LOG_SPAN = 45.0
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,6 @@ class ContourSpec:
     re_line: float
     half_height: float
     nodes_per_unit: int = 8
-    rule: str = "gauss-legendre-panel"
 
     def __post_init__(self):
         if self.half_height <= 0:
@@ -83,8 +82,7 @@ def _tail_bound(inv: Invariants, gamma: float, T: float) -> float:
     return math.inf
 
 
-def choose_contour(inv: Invariants, x: float, target_abs_err: float = 1e-10,
-                   nodes_per_unit: int = 8) -> ContourSpec:
+def choose_contour(inv: Invariants, x: float, target_abs_err: float = 1e-10) -> ContourSpec:
     """Pick an admissible vertical contour with tail bound <= target/2."""
     if x <= 0:
         raise ParameterError("kernel argument must be positive")
@@ -128,7 +126,7 @@ def choose_contour(inv: Invariants, x: float, target_abs_err: float = 1e-10,
     T = 4.0
     while T <= _T_CAP:
         if _tail_bound(inv, gamma, T) * scale <= target:
-            return ContourSpec(gamma, T, nodes_per_unit)
+            return ContourSpec(gamma, T)
         T *= 1.3
     raise NumericalError("truncation horizon exceeds the quadrature budget")
 
@@ -136,42 +134,35 @@ def choose_contour(inv: Invariants, x: float, target_abs_err: float = 1e-10,
 class KernelEvaluator:
     """Reusable contour data for one kernel: symbol values computed once.
 
-    Covers arguments with |ln x| up to log_span; the truncation height is
+    Covers arguments with |ln x| up to _LOG_SPAN; the truncation height is
     sized so the envelope tail stays below the target even against the
-    worst x^(-gamma) amplification in that range.
+    worst x^(-gamma) amplification in that range.  The LineRule fine gives
+    the kernel values; a coarser one estimates their error.
     """
 
-    def __init__(self, params: HParams, target_abs_err: float = 1e-11,
-                 log_span: float = 45.0):
+    def __init__(self, params: HParams, target_abs_err: float = 1e-11):
         self.params = params
         self.inv = derive_invariants(params)
         self.target = target_abs_err
         base = choose_contour(self.inv, 1.0, target_abs_err)
         gamma = base.re_line
         T = base.half_height
-        worst_scale = math.exp(abs(gamma) * log_span)
+        worst_scale = math.exp(abs(gamma) * _LOG_SPAN)
         while T <= _T_CAP and _tail_bound(self.inv, gamma, T) * worst_scale > target_abs_err / 2.0:
             T *= 1.15
-        npu = max(base.nodes_per_unit, int(math.ceil(1.8 * log_span)) + 4)
-        if 2 * T * npu > _NODE_BUDGET:
+        npu = max(base.nodes_per_unit, int(math.ceil(1.8 * _LOG_SPAN)) + 4)
+        if 2 * T * npu > NODE_BUDGET:
             raise NumericalError("truncation horizon exceeds the quadrature budget")
         self.contour = ContourSpec(gamma, T, npu)
         sym = symbol_from_params(params)
-        nodes, weights = panel_rule(-T, T, 1.0, npu)
-        s = gamma + 1j * nodes
-        self._coeff_fine = sym.eval(s) * weights / (2.0 * math.pi)
-        self._s_fine = s
-        nodes_c, weights_c = panel_rule(-T, T, 1.0, max(4, int(npu / 1.6)))
-        s_c = gamma + 1j * nodes_c
-        self._coeff_coarse = sym.eval(s_c) * weights_c / (2.0 * math.pi)
-        self._s_coarse = s_c
+        self.fine = LineRule(sym.eval, gamma, T, npu)
+        self._coarse = LineRule(sym.eval, gamma, T, max(4, int(npu / 1.6)))
 
     def eval(self, x_arr: np.ndarray):
         logx = np.log(x_arr)
         gamma = self.contour.re_line
-        fine = np.exp(-np.outer(logx, self._s_fine)) @ self._coeff_fine
-        coarse = np.exp(-np.outer(logx, self._s_coarse)) @ self._coeff_coarse
-        qerr = np.abs(fine - coarse)
+        fine = self.fine(logx)
+        qerr = np.abs(fine - self._coarse(logx))
         tail = _tail_bound(self.inv, gamma, self.contour.half_height)
         tails = tail * np.exp(-gamma * logx)
         return fine, qerr, tails
@@ -205,62 +196,35 @@ def eval_hfunction_batch(params: HParams, xs, contour=None,
     x_arr = np.asarray([float(v) for v in xs], dtype=float)
     if np.any(x_arr <= 0) or not np.all(np.isfinite(x_arr)):
         raise ParameterError("x must be positive")
-    inv = derive_invariants(params)
     if contour is None:
         ev = kernel_evaluator(params, min(target_abs_err, 1e-10))
         vals, qerr, tails = ev.eval(x_arr)
-        return [
-            EvalResult(
-                value=complex(vals[k]),
-                truncation_bound=float(tails[k]),
-                quadrature_error_estimate=float(qerr[k]),
-                contour_used=ev.contour,
+        contour = ev.contour
+    else:
+        inv = derive_invariants(params)
+        if not (inv.alpha_low < contour.re_line < inv.beta_high):
+            raise HypothesisError(
+                "contour inside strip",
+                f"Re s = {contour.re_line:g} outside ({inv.alpha_low:g}, {inv.beta_high:g})",
             )
-            for k in range(x_arr.size)
-        ]
-    if not (inv.alpha_low < contour.re_line < inv.beta_high):
-        raise HypothesisError(
-            "contour inside strip",
-            f"Re s = {contour.re_line:g} outside ({inv.alpha_low:g}, {inv.beta_high:g})",
-        )
-    sym = symbol_from_params(params)
-    gamma, T = contour.re_line, contour.half_height
-    # oscillation exp(-i t ln x) needs density scaled to |ln x|
-    npu = max(contour.nodes_per_unit, int(math.ceil(1.8 * float(np.max(np.abs(np.log(x_arr)))))) + 4)
-    if 2 * T * npu > _NODE_BUDGET:
-        raise NumericalError("truncation horizon exceeds the quadrature budget")
-
-    def quad(density):
-        t, w = panel_rule(-T, T, 1.0, density)
-        s = gamma + 1j * t
-        vals = sym.eval(s)
-        mat = np.exp(-np.outer(np.log(x_arr), s))
-        return (mat @ (vals * w)) / (2.0 * math.pi)
-
-    # density increase until two refinements agree or stop improving
-    coarse = quad(npu)
-    fine = None
-    best_err = math.inf
-    for _ in range(4):
-        denser = int(npu * 1.6) + 2
-        fine = quad(denser)
-        qerr_max = float(np.max(np.abs(fine - coarse)))
-        if qerr_max <= target_abs_err / 2.0 or denser * 2 * T > _NODE_BUDGET \
-                or qerr_max > 0.5 * best_err:
-            break
-        best_err = qerr_max
-        coarse, npu = fine, denser
-    qerr = np.abs(fine - coarse)
-    tails = np.array([_tail_bound(inv, gamma, T) * xv ** (-gamma) for xv in x_arr])
-    out = []
-    for k in range(x_arr.size):
-        out.append(EvalResult(
-            value=complex(fine[k]),
+        gamma, T = contour.re_line, contour.half_height
+        logx = np.log(x_arr)
+        # oscillation exp(-i t ln x) needs density scaled to |ln x|
+        npu = max(contour.nodes_per_unit, int(math.ceil(1.8 * float(np.max(np.abs(logx))))) + 4)
+        if 2 * T * npu > NODE_BUDGET:
+            raise NumericalError("truncation horizon exceeds the quadrature budget")
+        vals, qerr = refine_line(symbol_from_params(params).eval, gamma, T, logx, npu,
+                                 target_abs_err)
+        tails = _tail_bound(inv, gamma, T) * np.exp(-gamma * logx)
+    return [
+        EvalResult(
+            value=complex(vals[k]),
             truncation_bound=float(tails[k]),
             quadrature_error_estimate=float(qerr[k]),
             contour_used=contour,
-        ))
-    return out
+        )
+        for k in range(x_arr.size)
+    ]
 
 
 def eval_hfunction(params: HParams, x: float, contour=None,

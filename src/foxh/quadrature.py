@@ -11,9 +11,9 @@ lattice and each column stops sweeping outward and stops halving on its own
 tests, so one sweep serves a block of outputs with the values that separate
 scalar calls would give.
 
-Finite panels (Mellin-Barnes contours, oscillation arches) use composite
-Gauss-Legendre; endpoint-singular weights use Gauss-Jacobi nodes computed
-by Golub-Welsch.
+Finite panels use composite Gauss-Legendre, among them the vertical line of
+every inverse Mellin transform (LineRule, refined by refine_line);
+endpoint-singular weights use Gauss-Jacobi nodes computed by Golub-Welsch.
 """
 
 from __future__ import annotations
@@ -26,6 +26,10 @@ import numpy as np
 from .errors import DivergentIntegralError, NumericalError
 
 _TINY = 1e-300
+# trapezoid_line: initial step, sweep block, largest |tau - center|, halvings
+_STEP, _BLOCK, _MAX_SPAN, _MAX_HALVINGS = 0.5, 64, 900.0, 4
+# most Gauss-Legendre nodes one vertical line may carry
+NODE_BUDGET = 2_000_000
 
 
 @lru_cache(maxsize=64)
@@ -96,8 +100,43 @@ def panel_rule(t_lo: float, t_hi: float, panel_width: float, nodes_per_panel: in
     return nodes, weights
 
 
-def _sweep(g, spacing: float, offset: float, center: float, tol: float,
-           block: int, max_span: float, live=None):
+class LineRule:
+    """(1/2 pi i) int F(s) x^(-s) ds on Re s = gamma, |Im s| <= T.
+
+    Unit Gauss-Legendre panels of nodes_per_unit nodes; F (vectorized) is
+    sampled once into coeff = F(s) w / (2 pi).  rule(logx) gives the sums.
+    """
+
+    def __init__(self, F, gamma: float, T: float, nodes_per_unit: int):
+        nodes, weights = panel_rule(-T, T, 1.0, nodes_per_unit)
+        self.s = gamma + 1j * nodes
+        self.coeff = np.asarray(F(self.s), dtype=complex) * weights / (2.0 * math.pi)
+
+    def __call__(self, logx):
+        return np.exp(-np.outer(logx, self.s)) @ self.coeff
+
+
+def refine_line(F, gamma: float, T: float, logx, nodes_per_unit: int, tol: float):
+    """LineRule sums at logx, density raised (x1.6 + 2, at most 4 times).
+
+    Stops when successive densities agree to tol/2, when their gap stops
+    halving, or at NODE_BUDGET.  Returns the densest sums and, per argument,
+    their distance from the previous density's.
+    """
+    coarse = LineRule(F, gamma, T, nodes_per_unit)(logx)
+    best_err = math.inf
+    for _ in range(4):
+        denser = int(nodes_per_unit * 1.6) + 2
+        fine = LineRule(F, gamma, T, denser)(logx)
+        err = float(np.max(np.abs(fine - coarse)))
+        if err <= tol / 2.0 or denser * 2 * T > NODE_BUDGET or err > 0.5 * best_err:
+            break
+        best_err = err
+        coarse, nodes_per_unit = fine, denser
+    return fine, np.abs(fine - coarse)
+
+
+def _sweep(g, spacing: float, offset: float, center: float, tol: float, live=None):
     """Column sums of g over {center +- (offset + spacing*k), k >= 0}, times spacing.
 
     g(taus) has shape (n,) or (n, ncols); a 1-D result is one column.  The
@@ -111,8 +150,8 @@ def _sweep(g, spacing: float, offset: float, center: float, tol: float,
     """
     total = scale = amax = going = None
     k0 = 0
-    while spacing * k0 < max_span:
-        idx = np.arange(k0, k0 + block)
+    while spacing * k0 < _MAX_SPAN:
+        idx = np.arange(k0, k0 + _BLOCK)
         taus = np.concatenate(
             [center + offset + spacing * idx, center - offset - spacing * idx]
         )
@@ -128,7 +167,7 @@ def _sweep(g, spacing: float, offset: float, center: float, tol: float,
         # as a 1-D integrand would
         vals = vals[going]
         if k0 == 0 and offset == 0.0:
-            vals[:, block] = 0.0
+            vals[:, _BLOCK] = 0.0
         if not np.all(np.isfinite(vals)):
             raise DivergentIntegralError("integrand overflow on the line")
         total[going] += vals.sum(axis=1) * spacing
@@ -140,7 +179,7 @@ def _sweep(g, spacing: float, offset: float, center: float, tol: float,
             going &= ~((scale > 0.0) & (amax * spacing <= tol * scale * spacing * 1e-2))
             if not going.any():
                 return total, one_d
-        k0 += block
+        k0 += _BLOCK
     # columns identically zero on the whole span are done; for the others,
     # running out of range means divergence or budget exhaustion
     going &= scale > 0.0
@@ -151,16 +190,7 @@ def _sweep(g, spacing: float, offset: float, center: float, tol: float,
     return total, one_d
 
 
-def trapezoid_line(
-    g,
-    *,
-    tol: float = 1e-12,
-    h: float = 0.5,
-    center: float = 0.0,
-    block: int = 64,
-    max_span: float = 900.0,
-    max_halvings: int = 4,
-):
+def trapezoid_line(g, *, tol: float = 1e-12, center: float = 0.0):
     """Integrate vectorized g over the whole real line by trapezoid sums.
 
     g must decay at least exponentially in both directions.  Step halving
@@ -173,11 +203,12 @@ def trapezoid_line(
     (value, error_estimate): a complex and a float for a 1-D g, arrays of
     shape (ncols,) otherwise.
     """
-    value, one_d = _sweep(g, h, 0.0, center, tol, block, max_span)
+    h = _STEP
+    value, one_d = _sweep(g, h, 0.0, center, tol)
     err = np.full(value.shape, math.inf)
     live = np.ones(value.shape, dtype=bool)
-    for _ in range(max_halvings):
-        fill, _ = _sweep(g, h, 0.5 * h, center, tol, block, max_span, live)
+    for _ in range(_MAX_HALVINGS):
+        fill, _ = _sweep(g, h, 0.5 * h, center, tol, live)
         refined = 0.5 * value + 0.5 * fill
         err[live] = np.abs(refined - value)[live]
         value[live] = refined[live]

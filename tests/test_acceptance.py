@@ -4,18 +4,15 @@ Run with  pytest tests/test_acceptance.py -v -s  to see the per-criterion
 lines; every tolerance is pinned here and nothing is calibrated at runtime.
 """
 
-import json
 import math
 
 import numpy as np
-import pytest
 
 from foxh import (
     SpaceSpec,
     TestFunction,
     apply_plan,
     bilinear_check,
-    classify_case,
     derive_invariants,
     eval_hfunction_batch,
     find_zeros_on_line,
@@ -33,7 +30,6 @@ from foxh import (
     validate_params,
     verify_plan_symbol,
 )
-from foxh.classical import mellin_line_samples
 from foxh.engine import Dilate, LiveFunction, PowerWeight, Reflect, tabulate
 from foxh.gammasym import AsymptoticEstimate, asymptotic_log_derivative
 from foxh.cli import run_cli

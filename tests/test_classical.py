@@ -13,7 +13,6 @@ from foxh import (
     DivergentIntegralError,
     GridFunction,
     HypothesisError,
-    NumericalError,
     ParameterError,
     TestFunction,
     ek_fractional,

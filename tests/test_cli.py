@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from foxh.cli import run_cli
 
 EXP_PARAMS = '{"m":1,"n":0,"p":0,"q":1,"upper":[],"lower":[[0,0,1]]}'

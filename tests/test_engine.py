@@ -9,8 +9,8 @@ import pytest
 from foxh import (
     FoxHError,
     HypothesisError,
-    NoAdmissibleContourError,
     NumericalError,
+    ParameterError,
     SpaceSpec,
     TestFunction,
     apply_plan,
@@ -207,6 +207,20 @@ def test_mellin_route_exp_kernel():
     res = htransform_mellin(EXP_K, F_EXP, XS, SP)
     oracle = 1.0 / (1.0 + XS)
     assert np.max(np.abs(res.values - oracle) / oracle) < 1e-9
+
+
+@pytest.mark.parametrize("xs", [[1.0, 0.0], [-2.0], [math.nan], [math.inf]])
+def test_direct_route_rejects_bad_x(xs):
+    with pytest.raises(ParameterError, match="x must be positive"):
+        htransform_direct(EXP_K, F_EXP, xs, SP)
+
+
+@pytest.mark.parametrize("case", range(1, 10))
+def test_mellin_route_error_estimate_meets_tol(case):
+    # the default tol is 1e-10; the line is refined to half of it
+    params, nu, r = canonical_params(case)
+    res = htransform_mellin(params, F_TEXP, [0.5, 1.3, 3.0], SpaceSpec(nu, r))
+    assert np.max(res.error_estimates) <= 5e-11
 
 
 def test_repr_route_both_variants():

@@ -7,7 +7,6 @@ import pytest
 
 from foxh import (
     GammaSymbol,
-    NumericalError,
     PoleError,
     PoleOnLineError,
     asymptotic_log_derivative,
