@@ -5,13 +5,21 @@ the numerical Mellin transform and its inverse, Erdelyi-Kober fractional
 integrals, the modified Hankel and Laplace transforms, and weighted-space
 norms.  The elementary operators x^z f(x), f(x/d) and f(1/x)/x are the
 chain primitives PowerWeight, Dilate and Reflect in engine.py.
+
+Where a function lives is one Support record per function object
+(support_of), in tau = log t.  Its hard edges, where f stops, are exact:
+tau = 0 for the truncated power, the grid's ends for grid data; Reflect,
+Dilate and PowerWeight carry them on.  All else comes from one magnitude
+profile |f(e^tau)| on the lattice tau = k/2, probed lazily: the window
+where |f| e^(nu tau) exceeds a floor times its side's peak, and whether a
+side is dead.  Mellin line sums split at hard edges.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -33,8 +41,6 @@ from .quadrature import (
     trapezoid_line,
     wynn_epsilon,
 )
-
-_EPS_SUPPORT = 1e-18
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +75,10 @@ class GridFunction:
             im = np.interp(lx, lt, self.values.imag)
             out[inside] = re + 1j * im
         return out
+
+    @cached_property
+    def support(self) -> "Support":
+        return Support(self, (math.log(self.t[0]), math.log(self.t[-1])))
 
     @staticmethod
     def from_csv(path) -> "GridFunction":
@@ -144,6 +154,14 @@ class TestFunction:
         # every family decays at +inf, so non-finite arguments contribute zero
         return self.amplitude * np.where(ok, out, 0.0)
 
+    @cached_property
+    def support(self) -> "Support":
+        if self.family == "trunc-power":
+            return Support(self, (None, 0.0))
+        if self.family == "grid":
+            return Support(self, self.grid.support.hard)
+        return Support(self)
+
     # -- Mellin data ----------------------------------------------------
 
     def mellin_strip(self):
@@ -212,6 +230,113 @@ class TestFunction:
 
 
 # ---------------------------------------------------------------------------
+# Where a function lives
+# ---------------------------------------------------------------------------
+
+_LATTICE = 0.5  # profile step in tau
+# window probe: +-64, then a live side grown by 48 per probe; six probes for
+# tables and Erdelyi-Kober edges, 16 for line sums, which may decay slowly
+_PROBE, _GROW, _LINE_PROBES = 64.0, 48.0, 16
+# negligible against a side's peak; Erdelyi-Kober tails run _EDGE_MARGIN past
+# the last lattice point above it; sides are judged dead _DEAD_SPAN out
+_NEGLIGIBLE, _EDGE_MARGIN, _DEAD_SPAN = 1e-19, 1.5, 100.0
+
+
+class Support:
+    """Where f lives on (0, inf), in tau = log t (see the module docstring).
+
+    hard = (lo, hi): exact hard edges, None where none is known.
+    """
+
+    def __init__(self, f, hard=(None, None)):
+        self.f, self.hard = f, tuple(hard)
+        self._k0, self._mags = 0, np.zeros(0)  # |f| at tau = (_k0 + i) _LATTICE
+
+    def _profile(self, lo: float, hi: float):
+        """(taus, |f|, finite) on the lattice over [lo, hi], non-finite |f| as 0."""
+        k_lo, k_hi = round(lo / _LATTICE), round(hi / _LATTICE)
+        if self._mags.size == 0:
+            self._k0 = k_lo
+        k0, k1 = self._k0, self._k0 + self._mags.size - 1
+        new = []
+        for ks in (np.arange(min(k_lo, k0), k0), np.arange(k1 + 1, max(k_hi, k1) + 1)):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                new.append(np.abs(np.asarray(self.f(np.exp(_LATTICE * ks)), dtype=complex))
+                           if ks.size else np.zeros(0))
+        self._mags = np.concatenate([new[0], self._mags, new[1]])
+        self._k0 = min(k_lo, k0)
+        mags = self._mags[k_lo - self._k0:k_hi - self._k0 + 1]
+        finite = np.isfinite(mags)
+        return _LATTICE * np.arange(k_lo, k_hi + 1), np.where(finite, mags, 0.0), finite
+
+    def window(self, nu: float, floor: float, probes: int = 6):
+        """Lattice edges (lo, hi, open_lo, open_hi) of where |f| e^(nu tau)
+        exceeds floor times its side's peak, sides split at tau = 0 so that
+        growth toward one end cannot hide the other's tail.  At most `probes`
+        probes, no wider than one side grown `probes` times; open: still
+        above where the probe stopped, or next to a non-finite sample, past
+        which nothing is known.  None if f vanishes on the first probe."""
+        lo, hi = -_PROBE, _PROBE
+        for _ in range(probes):
+            taus, mags, finite = self._profile(lo, hi)
+            with np.errstate(over="ignore", invalid="ignore"):
+                mags = mags * np.exp(nu * taus)
+            mags = np.where(np.isfinite(mags), mags, 0.0)
+            peak = float(np.max(mags))
+            if peak == 0.0:
+                return None
+            mid = round(-lo / _LATTICE)
+            left_peak = float(np.max(mags[: mid + 1])) or peak
+            right_peak = float(np.max(mags[mid:])) or peak
+            i_lo = np.nonzero(mags > floor * left_peak)[0][0]
+            i_hi = np.nonzero(mags > floor * right_peak)[0][-1]
+            grow_lo = i_lo <= 1 and finite[0]
+            grow_hi = i_hi >= taus.size - 2 and finite[-1]
+            if not (grow_lo or grow_hi) or hi - lo >= 2 * _PROBE + _GROW * probes:
+                break
+            lo -= _GROW if grow_lo else 0.0
+            hi += _GROW if grow_hi else 0.0
+        open_lo = i_lo <= 1 or not finite[i_lo - 1]
+        open_hi = i_hi >= taus.size - 2 or not finite[i_hi + 1]
+        return float(taus[i_lo]), float(taus[i_hi]), bool(open_lo), bool(open_hi)
+
+    def _dead(self, sign: float) -> bool:
+        """Whether f vanishes _DEAD_SPAN out on one side or falls faster than
+        any power there.  A power is a straight line in log|f| against tau;
+        a faster decay steepens, taken as a drop over the last unit of tau
+        larger by 1 than the drop over the unit before."""
+        _, mags, _ = self._profile(*sorted((sign * _DEAD_SPAN, sign * (_DEAD_SPAN - 2.0))))
+        ends = mags[::2] if sign > 0 else mags[::-2]
+        if ends[-1] == 0.0:
+            return True
+        if np.any(ends == 0.0):
+            return False
+        drops = np.diff(np.log(ends))
+        return bool(drops[1] < drops[0] - 1.0)
+
+    def edges(self):
+        """(lo, hi) past which f is negligible for good, None for f = 0: a
+        hard edge, else _EDGE_MARGIN past the window at _NEGLIGIBLE on a side
+        that settles a unit inside _DEAD_SPAN and is dead there, else None."""
+        win = self.window(0.0, _NEGLIGIBLE)
+        if win is None:
+            return None
+        lo, hi, open_lo, open_hi = win
+        hard_lo, hard_hi = self.hard
+        if hard_lo is None and not open_lo and lo >= 1.0 - _DEAD_SPAN and self._dead(-1.0):
+            hard_lo = lo - _EDGE_MARGIN
+        if hard_hi is None and not open_hi and hi <= _DEAD_SPAN - 1.0 and self._dead(1.0):
+            hard_hi = hi + _EDGE_MARGIN
+        return hard_lo, hard_hi
+
+
+def support_of(f) -> Support:
+    """f's own record if it keeps one, else a fresh record without edges."""
+    rec = getattr(f, "support", None)
+    return rec if isinstance(rec, Support) else Support(f)
+
+
+# ---------------------------------------------------------------------------
 # Numerical Mellin transform and inverse
 # ---------------------------------------------------------------------------
 
@@ -223,27 +348,39 @@ def _quad_center(f, s) -> float:
         if f.family == "gaussian":
             peak = max((np.real(s) + f.c) / (2 * f.p), 1e-3)
             return 0.5 * math.log(peak)
-        if f.family == "trunc-power":
-            return -1.0
-        if f.family == "grid":
-            return 0.5 * (math.log(f.grid.t[0]) + math.log(f.grid.t[-1]))
     return 0.0
 
 
-def _support_bounds(f):
-    """(t_lo, t_hi) outside which f vanishes identically, if known."""
-    if isinstance(f, TestFunction):
-        if f.family == "trunc-power":
-            return 0.0, 1.0
-        if f.family == "grid":
-            return float(f.grid.t[0]), float(f.grid.t[-1])
-    if isinstance(f, GridFunction):
-        return float(f.t[0]), float(f.t[-1])
-    return None
+def _line_rule(f, nu: float, t_max: float):
+    """tau nodes and weights for int f(e^tau) e^(s tau) dtau on Re s = nu,
+    |Im s| <= t_max: the record's window at _NEGLIGIBLE, one lattice step
+    wider on a soft side.  A range ending at a hard edge takes Gauss-Legendre
+    unit panels with nodes for the oscillation e^(i t_max tau), any other the
+    trapezoid grid of step 2 pi / (t_max + 80)."""
+    sup = support_of(f)
+    hard_lo, hard_hi = sup.hard
+    # with both hard edges known f vanishes outside them, seen by the lattice or not
+    win = sup.window(nu, _NEGLIGIBLE, _LINE_PROBES) if None in sup.hard \
+        else sup.hard + (False, False)
+    if win is None:
+        return np.zeros(0), np.zeros(0)
+    lo, hi, open_lo, open_hi = win
+    at_lo = hard_lo is not None and (open_lo or hard_lo >= lo - _LATTICE)
+    at_hi = hard_hi is not None and (open_hi or hard_hi <= hi + _LATTICE)
+    if (open_lo and not at_lo) or (open_hi and not at_hi):
+        raise DivergentIntegralError("Mellin line integrand does not decay")
+    lo = hard_lo if at_lo else lo - _LATTICE
+    hi = hard_hi if at_hi else hi + _LATTICE
+    if at_lo or at_hi:
+        return panel_rule(lo, hi, 1.0, 14 + int(math.ceil(0.5 * t_max)))
+    h = min(0.125, 2.0 * math.pi / (t_max + 80.0))
+    taus = np.arange(lo, hi + h, h)
+    return taus, np.full(taus.size, h)
 
 
-def mellin_numeric(f, s, *, tol: float = 1e-11) -> complex:
-    """Mellin transform of f at a single point s, adaptive quadrature."""
+def mellin_numeric(f, s) -> complex:
+    """Mellin transform of f at a single point s: its line sample if f has a
+    hard edge, else by the adaptive trapezoid rule in tau."""
     s = complex(s)
     if isinstance(f, TestFunction):
         lo, hi = f.mellin_strip()
@@ -251,76 +388,36 @@ def mellin_numeric(f, s, *, tol: float = 1e-11) -> complex:
             raise DivergentIntegralError(
                 f"Mellin integral diverges at Re s = {s.real:g} (strip ({lo:g}, {hi:g}))"
             )
-    fn = f
-    support = _support_bounds(f)
-    if support is not None:
-        # hard-edged support: panel quadrature, smooth integrand in tau
-        t_lo, t_hi = support
-        margin = s.real + (f.c if isinstance(f, TestFunction) else 0.0)
-        tau_hi = math.log(t_hi)
-        tau_lo = math.log(t_lo) if t_lo > 0 else tau_hi - 46.0 / max(margin, 0.02)
-        nodes, weights = panel_rule(tau_lo, tau_hi, 1.0, 14)
-        t = np.exp(nodes)
-        vals = np.asarray(fn(t), dtype=complex) * np.exp(s * nodes)
-        return complex(np.sum(vals * weights))
+    if support_of(f).hard != (None, None):
+        return complex(mellin_line_samples(f, [s])[0])
 
     def g(tau):
         t = np.exp(tau)
-        return np.asarray(fn(t), dtype=complex) * np.exp(s * tau)
+        return np.asarray(f(t), dtype=complex) * np.exp(s * tau)
 
-    value, _ = trapezoid_line(g, tol=tol, center=_quad_center(f, s))
+    value, _ = trapezoid_line(g, tol=1e-11, center=_quad_center(f, s))
     return value
 
 
 def mellin_line_samples(fn, s_nodes):
     """Mellin transform of fn at many points on one vertical line.
 
-    All nodes must share their real part.  The integrand envelope is probed
-    once and a single trapezoid grid serves every node (matrix product), so
-    chains can push sampled functions through multiplier steps cheaply.
+    All nodes must share their real part.  One set of tau nodes from
+    _line_rule serves every point (a matrix product), so chains can push
+    sampled functions through multiplier steps cheaply.
     """
     s_nodes = np.asarray(s_nodes, dtype=complex)
     nu = float(s_nodes.real.flat[0])
     if not np.allclose(s_nodes.real, nu, atol=1e-12):
         raise ParameterError("line sampling requires constant Re s")
     t_max = float(np.max(np.abs(s_nodes.imag))) if s_nodes.size else 0.0
-    h = min(0.125, 2.0 * math.pi / (t_max + 80.0))
-
-    def envelope(tau):
-        t = np.exp(tau)
-        return np.abs(np.asarray(fn(t), dtype=complex)) * np.exp(nu * tau)
-
-    # expand the support symmetrically in blocks until the envelope dies;
-    # a silent first probe only means the support sits farther out
-    lo, hi = -4.0, 4.0
-    probe = 0.0
-    for _ in range(200):
-        taus = np.arange(lo, hi + 0.5, 0.5)
-        vals = envelope(taus)
-        peak = float(np.max(vals)) if vals.size else 0.0
-        probe = max(probe, peak)
-        if probe == 0.0:
-            if hi - lo >= 130.0:
-                break
-            lo -= 16.0
-            hi += 16.0
-            continue
-        left_ok = vals[0] <= _EPS_SUPPORT * probe
-        right_ok = vals[-1] <= _EPS_SUPPORT * probe
-        if left_ok and right_ok:
-            break
-        if not left_ok:
-            lo -= 8.0
-        if not right_ok:
-            hi += 8.0
-        if hi - lo > 900.0:
-            raise DivergentIntegralError("Mellin line integrand does not decay")
-    if probe == 0.0:
-        return np.zeros(s_nodes.shape, dtype=complex)
-    taus = np.arange(lo, hi + h, h)
-    base = np.asarray(fn(np.exp(taus)), dtype=complex) * np.exp(nu * taus)
+    taus, weights = _line_rule(fn, nu, t_max)
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = np.asarray(fn(np.exp(taus)), dtype=complex) * np.exp(nu * taus) * weights
+    # a sample that overflows counts as 0, as in the record's profile
+    base = np.where(np.isfinite(base), base, 0.0)
     kernel = np.exp(1j * np.outer(s_nodes.imag, taus))
-    return h * (kernel @ base)
+    return kernel @ base
 
 
 def _decay_truncation(F, gamma_line: float, tol: float):
@@ -345,74 +442,24 @@ def mellin_inverse_numeric(F, gamma_line: float, x, *, tol: float = 1e-10):
 
     F is a callable on complex arrays (a GammaSymbol's eval also works).
     Truncated where |F| has decayed to tol, refined to an error of tol/2.
-    Returns (values, error_estimate) with values shaped like x.
+    Returns (values, error_estimates), both shaped like x: the estimate at
+    each x is its distance from the next coarser density's sum.
     """
     if isinstance(F, GammaSymbol):
-        sym = F
-        F = lambda s: sym.eval(s)  # noqa: E731
+        F = F.eval
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x_arr <= 0):
         raise ParameterError("inverse Mellin needs positive arguments")
     T = _decay_truncation(F, gamma_line, tol)
     logx = np.log(x_arr)
     npu = max(10, int(math.ceil(1.5 * float(np.max(np.abs(logx))))))
-    fine, qerr = refine_line(F, gamma_line, T, logx, npu, tol)
-    err = float(np.max(qerr))
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return fine[0], err
-    return fine, err
+    fine, err = refine_line(F, gamma_line, T, logx, npu, tol)
+    return (fine[0], float(err[0])) if np.ndim(x) == 0 else (fine, err)
 
 
 # ---------------------------------------------------------------------------
 # Erdelyi-Kober fractional integrals
 # ---------------------------------------------------------------------------
-
-def _dead_end(mags: np.ndarray) -> bool:
-    """Whether probe magnitudes (0.5 apart, probe end last) show f dead there.
-
-    f counts as dead only if it vanishes at the end or falls faster than
-    any power.  A power t^c is a straight line in log|f| against tau, however
-    small it has become; a faster decay steepens, taken here as a drop over
-    the last unit of tau larger by 1 than the drop over the unit before.
-    """
-    ends = mags[[-5, -3, -1]]
-    if ends[-1] == 0.0:
-        return True
-    if np.any(ends == 0.0):
-        return False
-    drops = np.diff(np.log(ends))
-    return bool(drops[1] < drops[0] - 1.0)
-
-
-def _support_edges(f, span: float = 100.0):
-    """Log-argument window outside which |f| has decayed, edges or None.
-
-    Only a genuinely dead tail yields an edge (see _dead_end); functions
-    still alive at the probe boundary (powers, slow tails) get None on that
-    side, however small they are there.  Returns (lower_edge, upper_edge),
-    or the marker "zero" for the zero function.
-    """
-    taus = np.linspace(-span, span, 401)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mags = np.abs(np.asarray(f(np.exp(taus)), dtype=complex))
-    mags = np.where(np.isfinite(mags), mags, 0.0)
-    peak = float(np.max(mags))
-    if peak == 0.0:
-        return "zero"
-    # judge each tail against its own side's scale (sides split at tau = 0),
-    # so growth toward one endpoint cannot hide the other tail
-    mid = taus.size // 2
-    lpeak = float(np.max(mags[: mid + 1])) or peak
-    rpeak = float(np.max(mags[mid:])) or peak
-    alive_l = np.nonzero(mags > 1e-19 * lpeak)[0]
-    alive_r = np.nonzero(mags > 1e-19 * rpeak)[0]
-    lo = hi = None
-    if alive_l[0] > 1 and _dead_end(mags[::-1]):
-        lo = float(taus[alive_l[0]]) - 1.5
-    if alive_r[-1] < taus.size - 2 and _dead_end(mags):
-        hi = float(taus[alive_r[-1]]) + 1.5
-    return lo, hi
-
 
 _EK_MAX_PANELS = 480
 # a geometric tail whose measured decay per unit panel is below this cannot
@@ -474,13 +521,14 @@ def _ek_outer_tail_batch(side: str, alpha, sigma: float, eta, f,
     t -> 0 (left side) or t -> inf (right side), in unit panels.  Where
     f ~ t^c the integrand decays like exp(-rate |tau|), with rate
     sigma (Re eta + 1) + c on the left and sigma Re eta - c on the right.
-    c is not known, so the first window is 100 / rate' panels long, rate'
-    being the kernel's part alone, and it stops 1.5 units past a dead
-    support edge of f (see _support_edges).  A row whose outermost panel
-    still holds 1e-8 of its largest panel is completed:
+    c is not known, so the first window is 100 / rate' panels long (at
+    most _EK_MAX_PANELS), rate' being the kernel's part alone, and it stops
+    1.5 units past the edge on that side of edges = Support.edges() (None
+    for the zero function).  A row whose outermost panel still holds 1e-8
+    of its largest panel is completed:
 
-    - if f has a dead edge ahead of the window, the window is carried to
-      1.5 units past that edge;
+    - if an edge lies ahead of the window, the window is carried to 1.5
+      units past it;
     - a row still alive after that, or with no edge ahead, sees f behave as
       a power, so its panels continue as a geometric series whose ratio is
       measured on its last two panels, and the series' remainder is added.
@@ -489,7 +537,7 @@ def _ek_outer_tail_batch(side: str, alpha, sigma: float, eta, f,
     (a rate below _EK_MIN_RATE per panel) and when reaching the edge would
     take more than _EK_MAX_PANELS panels.
     """
-    if edges == "zero":
+    if edges is None:
         return np.zeros(x_arr.size, dtype=complex)
     sup_lo, sup_hi = edges
     log_x = np.log(x_arr)
@@ -550,16 +598,10 @@ def ek_fractional(side: str, alpha, sigma: float, eta, f, x):
     (1-u)^(alpha-1) endpoint handled by Gauss-Jacobi nodes on [1/2, 1].
 
     The outer part u in (0, 1/2] reaches t -> 0 (left) or t -> inf (right)
-    and is summed in unit panels of log t.  Its window is first sized from
-    the kernel's decay alone: 100 / (sigma (Re eta + 1)) panels on the left
-    and 100 / (sigma Re eta) on the right, at most 480.  Where f ~ t^c the
-    true decay is that rate plus c (left) or minus c (right), so a window
-    whose last panel is still alive is carried to a known dead support edge
-    of f, or else completed as a geometric series with the decay measured
-    on its last panels.  DivergentIntegralError is raised when that
-    measured decay is not positive (the integral diverges, e.g. f = t^c
-    with c >= sigma Re eta on the right) or when the edge lies more than
-    480 panels away.
+    and is summed in unit panels of log t by _ek_outer_tail_batch, up to
+    the edges of f's Support record or on as a geometric series; it raises
+    DivergentIntegralError where the integral diverges (e.g. f = t^c with
+    c >= sigma Re eta on the right).
 
     Accuracy: the outer window ends where a panel falls below 1e-8 of the
     row's largest, so values carry about 1e-8 relative error at worst
@@ -601,7 +643,7 @@ def ek_fractional(side: str, alpha, sigma: float, eta, f, x):
     upper = (w_up * smooth_up) @ fu
 
     # lower part (0, 1/2]: unit panels in log argument track the decay of f
-    edges = _support_edges(f)
+    edges = support_of(f).edges()
     lower = np.empty(x_arr.size, dtype=complex)
     chunk = 512
     for k0 in range(0, x_arr.size, chunk):
@@ -610,33 +652,32 @@ def ek_fractional(side: str, alpha, sigma: float, eta, f, x):
                                          x_arr[sl], edges)
 
     out = norm * (upper + lower)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return complex(out[0])
-    return out
+    return complex(out[0]) if np.ndim(x) == 0 else out
 
 
 # ---------------------------------------------------------------------------
 # Modified Hankel and Laplace transforms
 # ---------------------------------------------------------------------------
 
-_N_ARCH = 2048
-_ARCH_BLOCK = 128
+# arches, arches per block, geometric head panels, Gauss-Legendre nodes each
+_N_ARCH, _ARCH_BLOCK, _HEAD_LEVELS, _HANKEL_NODES = 2048, 128, 70, 12
+# an arch term this small against its running sum settles the sum
+_HANKEL_SETTLE = 1e-3 * 1e-10
 
 
 @lru_cache(maxsize=32)
-def _hankel_grid(eta_key, n_arches: int = _N_ARCH, head_levels: int = 70,
-                 nodes: int = 12):
+def _hankel_grid(eta_key):
     """Fixed integration structure in y = xi * v: head panels plus arches.
 
     Returns (y_head, jw_head, y_arch, jw_arch) where jw premultiplies the
     Bessel factor and quadrature weight; the arch axis is jw_arch's first.
     """
     eta = complex(*eta_key)
-    breaks = phase_breakpoints(eta, n_arches + 1)
-    xg, wg = gauss_legendre(nodes)
+    breaks = phase_breakpoints(eta, _N_ARCH + 1)
+    xg, wg = gauss_legendre(_HANKEL_NODES)
     # geometric head panels on (0, j_1]
     hi = float(breaks[0])
-    edges_hi = hi * 0.32 ** np.arange(head_levels)
+    edges_hi = hi * 0.32 ** np.arange(_HEAD_LEVELS)
     edges_lo = edges_hi * 0.32
     mid = 0.5 * (edges_hi + edges_lo)
     half = 0.5 * (edges_hi - edges_lo)
@@ -654,10 +695,8 @@ def _hankel_grid(eta_key, n_arches: int = _N_ARCH, head_levels: int = 70,
     return y_head, jw_head, y_arch, jw_arch
 
 
-def _hankel_column(partials_col, terms_col, settle_idx, tol):
-    """Value of one oscillatory sum from its partials and term magnitudes."""
-    if settle_idx is not None:
-        return partials_col[settle_idx]
+def _hankel_column(partials_col, terms_col):
+    """Value of one unsettled oscillatory sum from its partials and terms."""
     tcol = np.abs(terms_col)
     n = tcol.size
     if n < 8:
@@ -678,7 +717,7 @@ def _hankel_column(partials_col, terms_col, settle_idx, tol):
     return est
 
 
-def hankel_mod(kappa: float, eta, f, x, *, tol: float = 1e-10):
+def hankel_mod(kappa: float, eta, f, x):
     """Modified Hankel transform with index kappa != 0 and order Re(eta) > -1.
 
     After substitution the oscillation lives on a fixed grid in y = xi * v,
@@ -728,39 +767,31 @@ def hankel_mod(kappa: float, eta, f, x, *, tol: float = 1e-10):
             full_tb = np.zeros((ya.shape[0], nx), dtype=complex)
             full_tb[:, active] = tb
             terms_all.append(full_tb)
+            # a settled column's partials past its settle index are never read
             block_partials = acc[None, :] + np.cumsum(full_tb, axis=0)
-            # frozen columns keep their last accumulated value
-            block_partials[:, ~active] = acc[~active]
             partials.append(block_partials)
             acc = block_partials[-1].copy()
             scale = np.maximum(np.abs(acc), 1e-280)
-            tiny = np.abs(full_tb) <= (1e-3 * tol) * scale[None, :]
-            for i in np.nonzero(active)[0]:
-                col_hits = np.nonzero(tiny[:, i])[0]
-                if col_hits.size:
-                    settle[i] = done + int(col_hits[0])
-                    active[i] = False
+            tiny = np.abs(full_tb) <= _HANKEL_SETTLE * scale[None, :]
+            hit = active & tiny.any(axis=0)
+            settle[hit] = done + np.argmax(tiny[:, hit], axis=0)
+            active &= ~hit
             done += ya.shape[0]
         partials = np.concatenate(partials, axis=0)
         terms = np.concatenate(terms_all, axis=0)
-        vals = np.empty(nx, dtype=complex)
-        for i in range(nx):
-            if settle[i] >= 0:
-                vals[i] = partials[settle[i], i]
-            else:
-                vals[i] = _hankel_column(partials[:, i], terms[:, i], None, tol)
-        out[sl] = vals
+        settled = np.nonzero(settle >= 0)[0]
+        out[start + settled] = partials[settle[settled], settled]
+        for i in np.nonzero(settle < 0)[0]:
+            out[start + i] = _hankel_column(partials[:, i], terms[:, i])
     out = out * np.abs(kappa) * x_arr ** (1.0 / kappa - 0.5)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return complex(out[0])
-    return out
+    return complex(out[0]) if np.ndim(x) == 0 else out
 
 
 # arguments that share one column-wise trapezoid sweep in laplace_mod
 _LAPLACE_BLOCK = 32
 
 
-def laplace_mod(kappa: float, alpha, f, x, *, tol: float = 1e-10):
+def laplace_mod(kappa: float, alpha, f, x):
     """Modified Laplace transform with index kappa != 0.
 
     In tau = log u the integrand u^{-alpha} e^{-|k| u^{1/k}} f(u/x) / x has
@@ -788,10 +819,8 @@ def laplace_mod(kappa: float, alpha, f, x, *, tol: float = 1e-10):
                 vals = np.exp(expo)[:, None] * fv
             return np.where(np.isfinite(vals), vals, 0.0) / xb
 
-        out[start:start + xb.size], _ = trapezoid_line(g, tol=tol)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return complex(out[0])
-    return out
+        out[start:start + xb.size], _ = trapezoid_line(g, tol=1e-10)
+    return complex(out[0]) if np.ndim(x) == 0 else out
 
 
 # ---------------------------------------------------------------------------

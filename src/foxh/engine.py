@@ -30,12 +30,14 @@ from typing import Optional
 import numpy as np
 
 from .classical import (
+    Support,
     TestFunction,
     ek_fractional,
     hankel_mod,
     laplace_mod,
     mellin_line_samples,
     mellin_inverse_numeric,
+    support_of,
 )
 from .errors import (
     HypothesisError,
@@ -71,12 +73,14 @@ class LiveFunction:
     cost records how expensive a single evaluation is (0: closed form,
     1: one matrix product, 2: nested quadrature); integral operators
     tabulate costly inputs before sampling them thousands of times.
+    support is the function's Support record, with fn's hard edges.
     """
 
     def __init__(self, fn, nu: float, cost: int = 0):
         self._fn = fn
         self.nu = float(nu)
         self.cost = cost
+        self.support = Support(self, support_of(fn).hard)
 
     def __call__(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -86,42 +90,24 @@ class LiveFunction:
 _LAGRANGE_W8 = np.array([-1.0, 7.0, -21.0, 35.0, -35.0, 21.0, -7.0, 1.0])
 
 
-def tabulate(live: LiveFunction, *, h: float = 0.05, margin: float = 2.5,
+# tabulate's grid reaches this far in log x past its support window
+_TABLE_MARGIN = 2.5
+
+
+def tabulate(live: LiveFunction, *, h: float = 0.05,
              floor: float = 1e-17) -> LiveFunction:
     """Sample a function on a log-uniform grid and interpolate thereafter.
 
     Uses centered 8-point barycentric interpolation in log x (error
-    O(h^8) for smooth data); outside the sampled support, where the
-    function has decayed below floor * peak, it returns zero.
+    O(h^8) for smooth data).  The grid is the window of live's Support
+    record where |live| exceeds floor times its side's peak, widened by
+    _TABLE_MARGIN; outside it the table returns zero.
     """
-    lo, hi = -64.0, 64.0
-    for _ in range(6):
-        probe = np.arange(lo, hi + 0.5, 0.5)
-        with np.errstate(over="ignore", invalid="ignore"):
-            mags = np.abs(live(np.exp(probe)))
-        finite = np.isfinite(mags)
-        mags = np.where(finite, mags, 0.0)
-        peak = float(np.max(mags))
-        if peak == 0.0:
-            return LiveFunction(lambda x: np.zeros_like(x, dtype=complex), live.nu, 0)
-        # trim each edge against its own side's peak (sides split at the
-        # fixed origin), so growth toward one endpoint cannot mask the far
-        # side of the support even after the window has been extended
-        mid = int(np.clip(np.searchsorted(probe, 0.0), 1, probe.size - 2))
-        left_peak = float(np.max(mags[: mid + 1]))
-        right_peak = float(np.max(mags[mid:]))
-        thr_l = floor * (left_peak if left_peak > 0 else peak)
-        thr_r = floor * (right_peak if right_peak > 0 else peak)
-        lo_edge = probe[int(np.nonzero(mags > thr_l)[0][0])]
-        hi_edge = probe[int(np.nonzero(mags > thr_r)[0][-1])]
-        grow_lo = lo_edge <= lo + 0.6 and finite[0]
-        grow_hi = hi_edge >= hi - 0.6 and finite[-1]
-        if (not (grow_lo or grow_hi)) or hi - lo >= 416.0:
-            break
-        lo -= 48.0 if grow_lo else 0.0
-        hi += 48.0 if grow_hi else 0.0
-    t_lo = float(lo_edge) - margin
-    t_hi = float(hi_edge) + margin
+    win = support_of(live).window(0.0, floor)
+    if win is None:
+        return LiveFunction(lambda x: np.zeros_like(x, dtype=complex), live.nu, 0)
+    t_lo = win[0] - _TABLE_MARGIN
+    t_hi = win[1] + _TABLE_MARGIN
     taus = np.arange(t_lo, t_hi + h, h)
     vals = live(np.exp(taus))
     n = taus.size
@@ -155,8 +141,10 @@ def tabulate(live: LiveFunction, *, h: float = 0.05, margin: float = 2.5,
     return LiveFunction(ev, live.nu, cost=0)
 
 
-def _prepared(live: LiveFunction) -> LiveFunction:
-    return tabulate(live) if getattr(live, "cost", 0) >= 1 else live
+def _integral_step(prim, live: LiveFunction, op, *args) -> LiveFunction:
+    """prim's output x -> op(*args, live, x), live tabulated first if costly."""
+    src = tabulate(live) if getattr(live, "cost", 0) >= 1 else live
+    return LiveFunction(lambda x: op(*args, src, x), _out_weight(prim, live.nu), cost=2)
 
 
 def _out_weight(prim, nu: float) -> float:
@@ -167,6 +155,15 @@ def _out_weight(prim, nu: float) -> float:
     """
     _, a, b = prim.mellin_action()
     return (nu - complex(a).real) / b
+
+
+def _carried(live, fn, nu: float, sign: float, shift: float = 0.0) -> LiveFunction:
+    """fn(e^tau) = live(e^(sign tau + shift)) times a smooth factor, as a
+    LiveFunction of live's cost that carries live's hard edges."""
+    out = LiveFunction(fn, nu, getattr(live, "cost", 0))
+    ends = [None if e is None else sign * e + shift for e in support_of(live).hard]
+    out.support = Support(out, ends if sign > 0 else ends[::-1])
+    return out
 
 
 @dataclass(frozen=True)
@@ -180,8 +177,7 @@ class Reflect:
         return None
 
     def apply(self, live: LiveFunction) -> LiveFunction:
-        return LiveFunction(lambda x: live(1.0 / x) / x, _out_weight(self, live.nu),
-                            getattr(live, "cost", 0))
+        return _carried(live, lambda x: live(1.0 / x) / x, _out_weight(self, live.nu), -1.0)
 
     def describe(self):
         return {"op": "reflect"}
@@ -200,10 +196,8 @@ class PowerWeight:
 
     def apply(self, live: LiveFunction) -> LiveFunction:
         zeta = complex(self.zeta)
-        return LiveFunction(
-            lambda x: np.exp(zeta * np.log(x)) * live(x), _out_weight(self, live.nu),
-            getattr(live, "cost", 0),
-        )
+        return _carried(live, lambda x: np.exp(zeta * np.log(x)) * live(x),
+                        _out_weight(self, live.nu), 1.0)
 
     def describe(self):
         return {"op": "power-weight", "zeta": [self.zeta.real, self.zeta.imag]}
@@ -225,8 +219,8 @@ class Dilate:
         return None
 
     def apply(self, live: LiveFunction) -> LiveFunction:
-        return LiveFunction(lambda x: live(x / self.factor), _out_weight(self, live.nu),
-                            getattr(live, "cost", 0))
+        return _carried(live, lambda x: live(x / self.factor), _out_weight(self, live.nu),
+                        1.0, math.log(self.factor))
 
     def describe(self):
         return {"op": "dilate", "factor": self.factor}
@@ -302,11 +296,8 @@ class EKLeft:
             )
 
     def apply(self, live: LiveFunction) -> LiveFunction:
-        src = _prepared(live)
-        return LiveFunction(
-            lambda x: ek_fractional("left", self.alpha, self.sigma, self.eta, src, x),
-            _out_weight(self, live.nu), cost=2,
-        )
+        return _integral_step(self, live, ek_fractional, "left", self.alpha, self.sigma,
+                              self.eta)
 
     def describe(self):
         return {"op": "ek-left", "alpha": [self.alpha.real, self.alpha.imag],
@@ -336,11 +327,8 @@ class EKRight:
             )
 
     def apply(self, live: LiveFunction) -> LiveFunction:
-        src = _prepared(live)
-        return LiveFunction(
-            lambda x: ek_fractional("right", self.alpha, self.sigma, self.eta, src, x),
-            _out_weight(self, live.nu), cost=2,
-        )
+        return _integral_step(self, live, ek_fractional, "right", self.alpha, self.sigma,
+                              self.eta)
 
     def describe(self):
         return {"op": "ek-right", "alpha": [self.alpha.real, self.alpha.imag],
@@ -379,11 +367,7 @@ class HankelOp:
             )
 
     def apply(self, live: LiveFunction) -> LiveFunction:
-        src = _prepared(live)
-        return LiveFunction(
-            lambda x: hankel_mod(self.index, self.order, src, x),
-            _out_weight(self, live.nu), cost=2,
-        )
+        return _integral_step(self, live, hankel_mod, self.index, self.order)
 
     def describe(self):
         return {"op": "hankel", "index": self.index,
@@ -413,11 +397,7 @@ class LaplaceOp:
                                   f"nu={nu:g}, alpha={self.offset}")
 
     def apply(self, live: LiveFunction) -> LiveFunction:
-        src = _prepared(live)
-        return LiveFunction(
-            lambda x: laplace_mod(self.index, self.offset, src, x),
-            _out_weight(self, live.nu), cost=2,
-        )
+        return _integral_step(self, live, laplace_mod, self.index, self.offset)
 
     def describe(self):
         return {"op": "laplace", "index": self.index,
@@ -468,6 +448,7 @@ _S_RANGE = {
 
 
 def _dry_run_spaces(chain, nu, r):
+    """Check every step's space conditions along the chain; the final weight."""
     cur = nu
     for pos, prim in enumerate(chain):
         try:
@@ -691,14 +672,9 @@ def apply_plan(plan: FactorizationPlan, f, xs, *, collect_route="plan") -> "Tran
     """Apply the chain numerically, first element first."""
     if isinstance(f, TestFunction) and not f.in_space(plan.nu, plan.r):
         raise HypothesisError("f in weighted space", f"nu={plan.nu:g}, r={plan.r:g}")
+    _dry_run_spaces(plan.chain, plan.nu, plan.r)
     live = LiveFunction(f, plan.nu)
-    for pos, prim in enumerate(plan.chain):
-        try:
-            prim.check_space(live.nu, plan.r)
-        except HypothesisError as exc:
-            raise HypothesisError(
-                f"chain position {pos} ({prim.kind}): {exc.condition}", exc.detail
-            ) from None
+    for prim in plan.chain:
         live = prim.apply(live)
     xs_arr = np.atleast_1d(np.asarray(xs, dtype=float))
     values = live(xs_arr)
@@ -776,7 +752,7 @@ def htransform_mellin(params: HParams, f, xs, space: SpaceSpec,
     vals = np.atleast_1d(np.asarray(vals))
     return TransformResult(
         xs=xs_arr, values=vals, route="mellin",
-        error_estimates=np.full(xs_arr.shape, err),
+        error_estimates=np.atleast_1d(err),
         admissibility={"definition": (True, reason)},
     )
 

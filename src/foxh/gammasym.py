@@ -67,11 +67,6 @@ class GammaSymbol:
             tuple((base, u + v * a, v * b) for (base, u, v) in self.powers),
         )
 
-    def inverse(self) -> "GammaSymbol":
-        return GammaSymbol(
-            self.den, self.num, tuple((b, -u, -v) for (b, u, v) in self.powers)
-        )
-
     @staticmethod
     def power(base: float, u: complex, v: complex) -> "GammaSymbol":
         if not (base > 0.0):

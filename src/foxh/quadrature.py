@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import DivergentIntegralError, NumericalError
 
-_TINY = 1e-300
 # trapezoid_line: initial step, sweep block, largest |tau - center|, halvings
 _STEP, _BLOCK, _MAX_SPAN, _MAX_HALVINGS = 0.5, 64, 900.0, 4
 # most Gauss-Legendre nodes one vertical line may carry

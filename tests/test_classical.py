@@ -23,7 +23,7 @@ from foxh import (
     mellin_inverse_numeric,
     mellin_numeric,
 )
-from foxh.classical import _support_edges, mellin_line_samples
+from foxh.classical import mellin_line_samples, support_of
 from foxh.engine import Dilate, LiveFunction, PowerWeight, Reflect, tabulate
 from foxh.gammasym import GammaSymbol
 
@@ -85,6 +85,35 @@ def test_mellin_line_samples_match_closed_form():
     s_nodes = 0.5 + 1j * np.linspace(-30, 30, 41)
     vals = mellin_line_samples(EXPF, s_nodes)
     assert np.max(np.abs(vals - EXPF.mellin(s_nodes))) < 1e-12
+
+
+def test_mellin_line_samples_split_at_hard_edge():
+    # tpow:0 is 1 on (0, 1) and stops at t = 1; its Mellin transform is 1/s
+    s_nodes = 0.5 + 1j * np.linspace(-48.0, 48.0, 801)
+    vals = mellin_line_samples(TestFunction.builtin("tpow:0"), s_nodes)
+    assert np.max(np.abs(vals * s_nodes - 1.0)) < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.floats(-0.4, 2.0), margin=st.floats(0.2, 2.5), top=st.floats(0.0, 48.0))
+def test_mellin_line_samples_trunc_power(c, margin, top):
+    # t^c on (0, 1) has Mellin transform 1/(s + c) for Re s > -c
+    f = TestFunction.trunc_power(c)
+    s_nodes = margin - c + 1j * np.linspace(-top, top, 97)
+    ref = 1.0 / (s_nodes + c)
+    err = np.max(np.abs(mellin_line_samples(f, s_nodes) - ref))
+    assert err <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_hard_edges_carried_through_elementary_operators():
+    live = LiveFunction(TestFunction.builtin("tpow:0"), 0.5)
+    assert live.support.hard == (None, 0.0)
+    moved = Dilate(2.0).apply(Reflect().apply(live))
+    assert moved.support.hard == (math.log(2.0), None)
+    assert PowerWeight(0.5).apply(moved).support.hard == (math.log(2.0), None)
+    # the function does stop there
+    assert moved(np.array([1.99, 2.01]))[0] == 0.0
+    assert moved(np.array([1.99, 2.01]))[1] != 0.0
 
 
 # -- inverse Mellin -----------------------------------------------------------
@@ -309,8 +338,9 @@ def test_ek_left_window_reaches_dead_lower_edge():
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_ek_power_far_beyond_support_probe(side):
     # alpha = 1, sigma = 1 averages of a pure power at |log x| = 120, beyond the
-    # +-100 window that _support_edges probes.  A power is alive at every
-    # scale, however small it gets there, so no support edge may cut the tail:
+    # +-100 span at which the Support record judges a side dead.  A power is
+    # alive at every scale, however small it gets there, so no support edge
+    # may cut the tail:
     # right, eta = 1: x int_x^inf t^{-2} t^{1/2} dt = 2 x^{1/2};
     # left, eta = 0: x^{-1} int_0^x t^{-1/2} dt = 2 x^{-1/2}
     if side == "right":
@@ -324,12 +354,15 @@ def test_ek_power_far_beyond_support_probe(side):
 
 
 def test_support_edges_only_where_f_is_dead():
-    # an edge needs f to vanish at the +-100 probe end or to decay faster
-    # than any power there; a power gets none, however small it is there
-    assert _support_edges(lambda t: np.exp(-np.asarray(t))) == (None, 5.0)
-    assert _support_edges(lambda t: np.exp(-np.asarray(t) ** 0.06))[1] is not None
-    assert _support_edges(lambda t: np.asarray(t) ** 0.5) == (None, None)
-    assert _support_edges(lambda t: np.asarray(t) ** -0.5) == (None, None)
+    # an edge needs f to vanish at tau = +-100 or to decay faster than any
+    # power there; a power gets none, however small it is there
+    def edges(f):
+        return support_of(f).edges()
+
+    assert edges(lambda t: np.exp(-np.asarray(t))) == (None, 5.0)
+    assert edges(lambda t: np.exp(-np.asarray(t) ** 0.06))[1] is not None
+    assert edges(lambda t: np.asarray(t) ** 0.5) == (None, None)
+    assert edges(lambda t: np.asarray(t) ** -0.5) == (None, None)
 
 
 _ek_boundary = dict(

@@ -223,6 +223,14 @@ def test_mellin_route_error_estimate_meets_tol(case):
     assert np.max(res.error_estimates) <= 5e-11
 
 
+def test_mellin_route_error_estimates_per_x():
+    # each x carries its own estimate, not the worst point's
+    grid = np.geomspace(1e-2, 1e2, 64)
+    res = htransform_mellin(EXP_K, F_TEXP, grid, SP)
+    assert res.error_estimates.shape == grid.shape
+    assert np.unique(res.error_estimates).size > 1
+
+
 def test_repr_route_both_variants():
     oracle = 1.0 / (1.0 + XS)
     up = htransform_repr(EXP_K, F_EXP, 1.0, 1.0, XS, SP)
@@ -270,6 +278,18 @@ def test_plan_route_case1_agrees_with_mellin():
     m = htransform_mellin(params, F_EXP, XS, SpaceSpec(nu, 2.0))
     p = apply_plan(plan_factorization(params, nu, r), F_EXP, XS)
     assert np.max(np.abs(m.values - p.values) / np.abs(m.values)) < 1e-5
+
+
+@pytest.mark.parametrize("case, gate", [(5, 1e-5), (6, 1e-5), (7, 1e-5),
+                                        (8, 5e-5), (9, 5e-5)])
+def test_plan_route_on_hard_edge_agrees_with_mellin(case, gate):
+    # tpow:0 stops at t = 1; the multiplier step's line samples split there.
+    # The values lie between 0.07 and 0.8; the gates are absolute.
+    params, nu, r = canonical_params(case)
+    f = TestFunction.builtin("tpow:0")
+    m = htransform_mellin(params, f, XS, SpaceSpec(nu, r))
+    p = apply_plan(plan_factorization(params, nu, r), f, XS)
+    assert np.max(np.abs(m.values - p.values)) < gate
 
 
 def test_plan_route_bessel_is_hankel_transform():

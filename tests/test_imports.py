@@ -1,7 +1,11 @@
-"""Every name a module imports is used (the repository ships no linter).
+"""Every imported name is used, every private name is read somewhere.
 
-The scan covers src/foxh/*.py and tests/*.py; the package's __init__.py
-imports its public API in order to re-export it and is exempt.
+The repository ships no linter.  The import scan covers src/foxh/*.py and
+tests/*.py; the package's __init__.py imports its public API in order to
+re-export it and is exempt.  The private-name scan takes every module-level
+name with a leading underscore (dunders aside) defined in src/foxh/*.py and
+looks for a read of it, as a name, an attribute or an import, in any file of
+src/, tests/ or perfbench/.
 """
 
 import ast
@@ -31,5 +35,51 @@ def test_no_unused_imports():
         str(path.relative_to(ROOT)): names
         for path in files
         if path.name != "__init__.py" and (names := unused_imports(path))
+    }
+    assert found == {}
+
+
+def unread_private_names(path: Path, read: set) -> list:
+    """Module-level private names defined in path that are never read."""
+    defined = {}
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [ast.Name(node.name)]
+        elif isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and name.id.startswith("_") \
+                        and not name.id.startswith("__"):
+                    defined[name.id] = node.lineno
+    return sorted(f"{name} (line {line})" for name, line in defined.items()
+                  if name not in read)
+
+
+def names_read(path: Path) -> set:
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    return read
+
+
+def test_no_unread_private_names():
+    read = set()
+    for tree in ("src", "tests", "perfbench"):
+        for path in (ROOT / tree).rglob("*.py"):
+            read |= names_read(path)
+    found = {
+        str(path.relative_to(ROOT)): names
+        for path in sorted((ROOT / "src" / "foxh").glob("*.py"))
+        if (names := unread_private_names(path, read))
     }
     assert found == {}
