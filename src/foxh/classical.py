@@ -34,9 +34,10 @@ from .bessel import bessel_j, phase_breakpoints
 from .gammafn import log_gamma
 from .gammasym import GammaSymbol
 from .quadrature import (
+    equal_panels,
     gauss_legendre,
     jacobi_unit_interval,
-    panel_rule,
+    panel_sums,
     refine_line,
     trapezoid_line,
     wynn_epsilon,
@@ -351,19 +352,25 @@ def _quad_center(f, s) -> float:
     return 0.0
 
 
+_TRAP_BLOCK = 64  # trapezoid points per block of a line rule
+
+
 def _line_rule(f, nu: float, t_max: float):
-    """tau nodes and weights for int f(e^tau) e^(s tau) dtau on Re s = nu,
-    |Im s| <= t_max: the record's window at _NEGLIGIBLE, one lattice step
-    wider on a soft side.  A range ending at a hard edge takes Gauss-Legendre
-    unit panels with nodes for the oscillation e^(i t_max tau), any other the
-    trapezoid grid of step 2 pi / (t_max + 80)."""
+    """tau nodes for int f(e^tau) e^(s tau) dtau on Re s = nu, |Im s| <= t_max,
+    as (mid, off, weights): node g of block p is mid[p] + off[g] with weight
+    weights[p, g], ready for panel_sums.  The range is the record's window at
+    _NEGLIGIBLE, one lattice step wider on a soft side.  A range ending at a
+    hard edge takes equal Gauss-Legendre panels at most a unit wide, with
+    nodes for the oscillation e^(i t_max tau); any other the trapezoid grid
+    of step 2 pi / (t_max + 80), in blocks of _TRAP_BLOCK points, the last
+    padded with zero weights."""
     sup = support_of(f)
     hard_lo, hard_hi = sup.hard
     # with both hard edges known f vanishes outside them, seen by the lattice or not
     win = sup.window(nu, _NEGLIGIBLE, _LINE_PROBES) if None in sup.hard \
         else sup.hard + (False, False)
     if win is None:
-        return np.zeros(0), np.zeros(0)
+        return np.zeros(0), np.zeros(0), np.zeros((0, 0))
     lo, hi, open_lo, open_hi = win
     at_lo = hard_lo is not None and (open_lo or hard_lo >= lo - _LATTICE)
     at_hi = hard_hi is not None and (open_hi or hard_hi <= hi + _LATTICE)
@@ -372,10 +379,15 @@ def _line_rule(f, nu: float, t_max: float):
     lo = hard_lo if at_lo else lo - _LATTICE
     hi = hard_hi if at_hi else hi + _LATTICE
     if at_lo or at_hi:
-        return panel_rule(lo, hi, 1.0, 14 + int(math.ceil(0.5 * t_max)))
+        mid, off, w = equal_panels(lo, hi, 1.0, 14 + int(math.ceil(0.5 * t_max)))
+        return mid, off, np.broadcast_to(w, (mid.size, w.size))
     h = min(0.125, 2.0 * math.pi / (t_max + 80.0))
-    taus = np.arange(lo, hi + h, h)
-    return taus, np.full(taus.size, h)
+    n = int(math.ceil((hi + h - lo) / h))  # the points of arange(lo, hi + h, h)
+    n_blocks = -(-n // _TRAP_BLOCK)
+    weights = np.zeros(n_blocks * _TRAP_BLOCK)
+    weights[:n] = h
+    return (lo + h * _TRAP_BLOCK * np.arange(n_blocks), h * np.arange(_TRAP_BLOCK),
+            weights.reshape(n_blocks, _TRAP_BLOCK))
 
 
 def mellin_numeric(f, s) -> complex:
@@ -403,21 +415,24 @@ def mellin_line_samples(fn, s_nodes):
     """Mellin transform of fn at many points on one vertical line.
 
     All nodes must share their real part.  One set of tau nodes from
-    _line_rule serves every point (a matrix product), so chains can push
-    sampled functions through multiplier steps cheaply.
+    _line_rule serves every point, summed by panel_sums: L (P + G)
+    exponentials and one L x G x P product for L points, P blocks of G tau
+    nodes, and memory L x P.  So chains can push sampled functions through
+    multiplier steps cheaply.  The result is shaped like s_nodes.
     """
     s_nodes = np.asarray(s_nodes, dtype=complex)
     nu = float(s_nodes.real.flat[0])
     if not np.allclose(s_nodes.real, nu, atol=1e-12):
         raise ParameterError("line sampling requires constant Re s")
     t_max = float(np.max(np.abs(s_nodes.imag))) if s_nodes.size else 0.0
-    taus, weights = _line_rule(fn, nu, t_max)
+    mid, off, weights = _line_rule(fn, nu, t_max)
+    taus = mid[:, None] + off
     with np.errstate(over="ignore", invalid="ignore"):
-        base = np.asarray(fn(np.exp(taus)), dtype=complex) * np.exp(nu * taus) * weights
+        base = (np.asarray(fn(np.exp(taus.ravel())), dtype=complex).reshape(taus.shape)
+                * np.exp(nu * taus) * weights)
     # a sample that overflows counts as 0, as in the record's profile
     base = np.where(np.isfinite(base), base, 0.0)
-    kernel = np.exp(1j * np.outer(s_nodes.imag, taus))
-    return kernel @ base
+    return panel_sums(-s_nodes.imag, mid, off, base)
 
 
 def _decay_truncation(F, gamma_line: float, tol: float):

@@ -250,12 +250,13 @@ class Multiplier:
         nu_c = live.nu
         rule = LineRule(lambda s: self.symbol.eval(s) * mellin_line_samples(live, s),
                         nu_c, _MULTIPLIER_HALF_HEIGHT, _MULTIPLIER_NODES)
-        # drop numerically dead contour nodes
+        # zero numerically dead contour nodes and drop panels left without any
         mags = np.abs(rule.coeff)
         keep = mags > np.max(mags) * 1e-18
         # below this x^(-nu)-scaled floor the truncated inversion is noise
         noise_const = float(np.sum(mags[~keep]) + np.sum(mags[keep]) * 1e-15)
-        rule.s, rule.coeff = rule.s[keep], rule.coeff[keep]
+        live_panels = keep.any(axis=1)
+        rule.mid, rule.coeff = rule.mid[live_panels], np.where(keep, rule.coeff, 0.0)[live_panels]
         # the discrete contour sum aliases beyond its resolution horizon
         horizon = 0.75 * math.pi * _MULTIPLIER_NODES
 

@@ -14,6 +14,16 @@ scalar calls would give.
 Finite panels use composite Gauss-Legendre, among them the vertical line of
 every inverse Mellin transform (LineRule, refined by refine_line);
 endpoint-singular weights use Gauss-Jacobi nodes computed by Golub-Welsch.
+
+Sums over a vertical line, sum_j c_j e^(-i l t_j) at L real arguments l, are
+evaluated in panels (panel_sums).  The nodes come as t = mid_p + off_g: P
+panels of equal width, each carrying the same G offsets (Gauss-Legendre
+nodes, or a block of trapezoid points).  The sum then factors exactly into
+e^(-i l mid_p) times an (L x G)(G x P) matrix product, so it costs L (P + G)
+complex exponentials and one product, and its memory is L x P, against
+L P G exponentials and an L x N matrix (N = P G) for the dense form.  The
+splitting is the one behind fast sums at non-equispaced nodes (Dutt &
+Rokhlin, SIAM J. Sci. Comput. 14 (1993)); here it needs no approximation.
 """
 
 from __future__ import annotations
@@ -85,34 +95,58 @@ def jacobi_unit_interval(n: int, exp_at_one: float, exp_at_zero: float):
     return u, w * scale
 
 
+def equal_panels(t_lo: float, t_hi: float, panel_width: float, nodes_per_panel: int):
+    """The fewest equal Gauss-Legendre panels at most panel_width wide on
+    [t_lo, t_hi], as (mid, off, w): node g of panel p is mid[p] + off[g],
+    with weight w[g]."""
+    n_panels = max(1, int(math.ceil((t_hi - t_lo) / panel_width)))
+    width = (t_hi - t_lo) / n_panels
+    x, w = gauss_legendre(nodes_per_panel)
+    mid = t_lo + (np.arange(n_panels) + 0.5) * width
+    return mid, 0.5 * width * x, 0.5 * width * w
+
+
+def panel_sums(l, mid, off, coeff):
+    """sum over p, g of coeff[p, g] e^(-i l (mid[p] + off[g])) for each entry
+    of the real array l, shaped like l.
+
+    coeff has shape (mid.size, off.size).  One exponential per (l, panel)
+    and per (l, offset), and one matrix product (see the module docstring).
+    """
+    inner = np.exp(-1j * np.multiply.outer(l, off)) @ coeff.T
+    return np.sum(np.exp(-1j * np.multiply.outer(l, mid)) * inner, axis=-1)
+
+
 def panel_rule(t_lo: float, t_hi: float, panel_width: float, nodes_per_panel: int):
-    """Composite Gauss-Legendre nodes/weights on [t_lo, t_hi]."""
+    """Composite Gauss-Legendre nodes/weights on [t_lo, t_hi]: equal_panels,
+    flattened."""
     if t_hi <= t_lo:
         raise ValueError("empty panel range")
-    n_panels = max(1, int(math.ceil((t_hi - t_lo) / panel_width)))
-    edges = np.linspace(t_lo, t_hi, n_panels + 1)
-    x, w = gauss_legendre(nodes_per_panel)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    mid, off, w = equal_panels(t_lo, t_hi, panel_width, nodes_per_panel)
+    return (mid[:, None] + off).ravel(), np.tile(w, mid.size)
 
 
 class LineRule:
     """(1/2 pi i) int F(s) x^(-s) ds on Re s = gamma, |Im s| <= T.
 
-    Unit Gauss-Legendre panels of nodes_per_unit nodes; F (vectorized) is
-    sampled once into coeff = F(s) w / (2 pi).  rule(logx) gives the sums.
+    ceil(2T) equal Gauss-Legendre panels of nodes_per_unit nodes, at most a
+    unit wide; F (vectorized) is sampled once into coeff[p, g] =
+    F(gamma + i (mid[p] + off[g])) w[g] / (2 pi).  rule(logx) gives the sums,
+    shaped like logx, through panel_sums: L (P + G) exponentials and one
+    L x G x P product for L arguments, P panels and G nodes per panel, and
+    memory L x P.
     """
 
     def __init__(self, F, gamma: float, T: float, nodes_per_unit: int):
-        nodes, weights = panel_rule(-T, T, 1.0, nodes_per_unit)
-        self.s = gamma + 1j * nodes
-        self.coeff = np.asarray(F(self.s), dtype=complex) * weights / (2.0 * math.pi)
+        self.gamma = gamma
+        self.mid, self.off, w = equal_panels(-T, T, 1.0, nodes_per_unit)
+        s = gamma + 1j * (self.mid[:, None] + self.off)
+        self.coeff = (np.asarray(F(s.ravel()), dtype=complex).reshape(s.shape)
+                      * w / (2.0 * math.pi))
 
     def __call__(self, logx):
-        return np.exp(-np.outer(logx, self.s)) @ self.coeff
+        logx = np.asarray(logx, dtype=float)
+        return np.exp(-self.gamma * logx) * panel_sums(logx, self.mid, self.off, self.coeff)
 
 
 def refine_line(F, gamma: float, T: float, logx, nodes_per_unit: int, tol: float):

@@ -23,7 +23,7 @@ from foxh import (
     mellin_inverse_numeric,
     mellin_numeric,
 )
-from foxh.classical import mellin_line_samples, support_of
+from foxh.classical import _line_rule, mellin_line_samples, support_of
 from foxh.engine import Dilate, LiveFunction, PowerWeight, Reflect, tabulate
 from foxh.gammasym import GammaSymbol
 
@@ -92,6 +92,20 @@ def test_mellin_line_samples_split_at_hard_edge():
     s_nodes = 0.5 + 1j * np.linspace(-48.0, 48.0, 801)
     vals = mellin_line_samples(TestFunction.builtin("tpow:0"), s_nodes)
     assert np.max(np.abs(vals * s_nodes - 1.0)) < 1e-10
+
+
+@pytest.mark.parametrize("name, closed_form, trapezoid", [
+    ("exp", scipy_gamma, True), ("tpow:0", lambda s: 1.0 / s, False)])
+def test_mellin_line_samples_on_both_line_rules(name, closed_form, trapezoid):
+    # e^{-t} takes the trapezoid blocks, tpow:0 (hard edge at t = 1) the
+    # equal Gauss-Legendre panels; both sum through panel_sums
+    f = TestFunction.builtin(name)
+    s_nodes = 0.5 + 1j * np.linspace(-48.0, 48.0, 801)
+    _, off, weights = _line_rule(f, 0.5, 48.0)
+    assert (off.size == 64 and weights[-1, -1] == 0.0) == trapezoid
+    err = np.abs(mellin_line_samples(f, s_nodes) - closed_form(s_nodes))
+    assert np.max(err) < 1e-12
+    assert abs(mellin_line_samples(f, 0.5 + 2.0j) - closed_form(0.5 + 2.0j)) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)

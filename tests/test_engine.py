@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from foxh import (
+    DivergentIntegralError,
     FoxHError,
     HypothesisError,
     NumericalError,
@@ -256,6 +257,28 @@ def test_zero_function_through_plan():
     plan = plan_factorization(EXP_K, 0.5, 2.0)
     res = apply_plan(plan, TestFunction.zero(), XS)
     assert np.max(np.abs(res.values)) < 1e-14
+
+
+def test_multiplier_whose_cut_leaves_no_panel():
+    # every coefficient of f = 0 is dead: no panel survives the cut
+    chain = plan_factorization(EXP_K, 0.5, 2.0).chain
+    mult = next(op for op in chain if op.kind == "multiplier")
+    out = mult.apply(LiveFunction(TestFunction.zero(), 0.5))
+    assert np.array_equal(out(XS), np.zeros(XS.size))
+
+
+@pytest.mark.parametrize("case", [7, 9])
+def test_mirrored_cases_near_strip_edge_raise_or_agree(case):
+    # at nu = 0.06 the doubly reflected input of cases 7 and 9 overflows
+    # past |log x| = 709; apply_plan must raise, not return other values
+    params, _, _ = canonical_params(case)
+    ref = apply_plan(plan_factorization(params, 0.5, 2.0), F_EXP, XS).values
+    assert abs(ref[1] - {7: 0.22778775, 9: 0.11129511}[case]) < 1e-8
+    try:
+        near = apply_plan(plan_factorization(params, 0.06, 2.0), F_EXP, XS).values
+    except DivergentIntegralError:
+        return
+    assert np.max(np.abs(near - ref)) < 1e-5
 
 
 def test_direct_route_inadmissible_for_case1():

@@ -1,6 +1,7 @@
 """Contour choice and pointwise kernel evaluation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from foxh import (
     eval_hfunction_batch,
     validate_params,
 )
+from foxh.gammasym import symbol_from_params
+from foxh.quadrature import LineRule
 
 from conftest import canonical_params, exp_series
 
@@ -120,3 +123,57 @@ def test_kernel_reduction_grid():
     worst = max(abs(r.value - exp_series(x)) / exp_series(x)
                 for r, x in zip(res, xs))
     assert worst < 1e-8
+
+
+# -- panel-factored line sums ---------------------------------------------------
+
+def _dense_line_sum(rule, logx):
+    """The rule's coefficients summed node by node in long double, nodes
+    mid + off formed in long double."""
+    t = (rule.mid.astype(np.longdouble)[:, None] + rule.off.astype(np.longdouble)).ravel()
+    s = rule.gamma + 1j * t.astype(np.clongdouble)
+    coeff = rule.coeff.ravel().astype(np.clongdouble)
+    out = [np.sum(np.exp(-l * s) * coeff) for l in np.atleast_1d(logx).astype(np.longdouble)]
+    return np.array(out, dtype=complex).reshape(np.shape(logx))
+
+
+@pytest.mark.parametrize("case", range(1, 10))
+def test_line_rule_matches_dense_long_double_sum(case, rng):
+    # a line inside the kernel's strip; cases 1-4 have no decaying contour,
+    # which the sum does not need
+    params, nu, _ = canonical_params(case)
+    rule = LineRule(symbol_from_params(params).eval, 1.0 - nu, 30.0, 85)
+    logx = rng.uniform(-45.0, 45.0, 200)
+    err = np.abs(rule(logx) - _dense_line_sum(rule, logx))
+    bound = 1e-13 * np.sum(np.abs(rule.coeff)) * np.exp(-rule.gamma * logx)
+    assert np.all(err <= bound)
+
+
+def test_line_rule_scalar_and_empty_arguments():
+    params, nu, _ = canonical_params(5)
+    rule = LineRule(symbol_from_params(params).eval, 1.0 - nu, 20.0, 40)
+    one = rule(0.7)
+    assert np.shape(one) == ()
+    ref = _dense_line_sum(rule, 0.7)
+    assert abs(one - ref) <= 1e-13 * np.sum(np.abs(rule.coeff)) * math.exp(-0.7 * rule.gamma)
+    assert rule(np.zeros(0)).shape == (0,)
+
+
+def test_line_rule_memory_stays_below_dense_matrix():
+    # a* = 0.025 kernel of the survey benchmark: its contour runs to heights
+    # in the thousands; a dense exp(-outer(logx, s)) holds 64 N complex values
+    low_a_star = validate_params(
+        0, 2, 3, 0,
+        [(0.958944 - 0.257488j, 0.404989), (-0.676720 - 0.255238j, 0.728059),
+         (0.328821 - 0.172448j, 1.108355)],
+        [])
+    rule = LineRule(symbol_from_params(low_a_star).eval, -0.9, 2540.0, 85)
+    assert rule.coeff.size >= 400_000
+    logx = np.linspace(-4.6, 4.6, 64)
+    tracemalloc.start()
+    try:
+        rule(logx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 64 * rule.coeff.size * 16
