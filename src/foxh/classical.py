@@ -421,10 +421,12 @@ def mellin_line_samples(fn, s_nodes):
     multiplier steps cheaply.  The result is shaped like s_nodes.
     """
     s_nodes = np.asarray(s_nodes, dtype=complex)
+    if s_nodes.size == 0:
+        return np.zeros(s_nodes.shape, dtype=complex)
     nu = float(s_nodes.real.flat[0])
     if not np.allclose(s_nodes.real, nu, atol=1e-12):
         raise ParameterError("line sampling requires constant Re s")
-    t_max = float(np.max(np.abs(s_nodes.imag))) if s_nodes.size else 0.0
+    t_max = float(np.max(np.abs(s_nodes.imag)))
     mid, off, weights = _line_rule(fn, nu, t_max)
     taus = mid[:, None] + off
     with np.errstate(over="ignore", invalid="ignore"):
@@ -807,12 +809,15 @@ _LAPLACE_BLOCK = 32
 
 
 def laplace_mod(kappa: float, alpha, f, x):
-    """Modified Laplace transform with index kappa != 0.
+    """Modified Laplace transform with index kappa != 0, pointwise.
 
     In tau = log u the integrand u^{-alpha} e^{-|k| u^{1/k}} f(u/x) / x has
     one weight for every x, so each block of _LAPLACE_BLOCK arguments is one
     vector-valued trapezoid_line call with a column per argument; every
     column keeps the stopping rules, and so the value, of its own scalar call.
+    Chain steps use it on closed-form inputs only; a tabulated input is
+    summed on its own lattice instead (engine.LaplaceOp), and this routine
+    is the oracle that sum and the Mellin-identity checks compare against.
     """
     alpha = complex(alpha)
     if kappa == 0:

@@ -94,30 +94,29 @@ _LAGRANGE_W8 = np.array([-1.0, 7.0, -21.0, 35.0, -35.0, 21.0, -7.0, 1.0])
 _TABLE_MARGIN = 2.5
 
 
-def tabulate(live: LiveFunction, *, h: float = 0.05,
-             floor: float = 1e-17) -> LiveFunction:
-    """Sample a function on a log-uniform grid and interpolate thereafter.
+class LogGrid(LiveFunction):
+    """A function's samples on a uniform lattice in tau = log t.
 
-    Uses centered 8-point barycentric interpolation in log x (error
-    O(h^8) for smooth data).  The grid is the window of live's Support
-    record where |live| exceeds floor times its side's peak, widened by
-    _TABLE_MARGIN; outside it the table returns zero.
+    taus (np.arange steps of h) carry values; the table reaches up to hi.
+    Calling it interpolates the samples by centered 8-point barycentric
+    interpolation in log x (error O(h^8) for smooth data) and returns zero
+    outside [taus[0], hi].  Steps that can work on the lattice itself read
+    taus and values instead.
     """
-    win = support_of(live).window(0.0, floor)
-    if win is None:
-        return LiveFunction(lambda x: np.zeros_like(x, dtype=complex), live.nu, 0)
-    t_lo = win[0] - _TABLE_MARGIN
-    t_hi = win[1] + _TABLE_MARGIN
-    taus = np.arange(t_lo, t_hi + h, h)
-    vals = live(np.exp(taus))
-    n = taus.size
 
-    def ev(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+    def __init__(self, taus, values, h: float, hi: float, nu: float):
+        self.taus, self.values, self.h, self.hi = taus, values, h, hi
+        super().__init__(self._interpolate, nu, cost=0)
+
+    def _interpolate(self, x):
+        taus, vals, h, n = self.taus, self.values, self.h, self.taus.size
         out = np.zeros(x.shape, dtype=complex)
+        if n == 0:
+            return out
+        t_lo = taus[0]
         with np.errstate(divide="ignore", invalid="ignore"):
             tx = np.where(x > 0, np.log(np.where(x > 0, x, 1.0)), -np.inf)
-        inside = (tx >= t_lo) & (tx <= t_hi - h * 1e-9)
+        inside = (tx >= t_lo) & (tx <= self.hi - h * 1e-9)
         if not inside.any():
             return out
         pos = (tx[inside] - t_lo) / h
@@ -138,13 +137,75 @@ def tabulate(live: LiveFunction, *, h: float = 0.05,
         out[inside] = res
         return out
 
-    return LiveFunction(ev, live.nu, cost=0)
+
+def tabulate(live: LiveFunction, *, h: float = 0.05,
+             floor: float = 1e-17) -> LogGrid:
+    """Sample a function on a log-uniform grid, as a LogGrid.
+
+    The grid is the window of live's Support record where |live| exceeds
+    floor times its side's peak, widened by _TABLE_MARGIN; outside it the
+    table returns zero.  A function that vanishes gives an empty grid.
+    """
+    win = support_of(live).window(0.0, floor)
+    if win is None:
+        return LogGrid(np.zeros(0), np.zeros(0, dtype=complex), h, -np.inf, live.nu)
+    t_lo = win[0] - _TABLE_MARGIN
+    t_hi = win[1] + _TABLE_MARGIN
+    taus = np.arange(t_lo, t_hi + h, h)
+    return LogGrid(taus, live(np.exp(taus)), h, t_hi, live.nu)
 
 
 def _integral_step(prim, live: LiveFunction, op, *args) -> LiveFunction:
     """prim's output x -> op(*args, live, x), live tabulated first if costly."""
     src = tabulate(live) if getattr(live, "cost", 0) >= 1 else live
     return LiveFunction(lambda x: op(*args, src, x), _out_weight(prim, live.nu), cost=2)
+
+
+# outputs of the grid Laplace sum per block: its weights take _LAPLACE_ROWS x n
+_LAPLACE_ROWS = 64
+
+
+def _laplace_on_grid(kappa: float, alpha, grid: LogGrid, nu: float) -> LiveFunction:
+    """laplace_mod(kappa, alpha, grid, .) as a trapezoid sum on grid's lattice.
+
+    With tau = log x + t, laplace_mod's integrand is w(log x + t) f(e^t) / x,
+    w(s) = exp((1 - alpha) s - |kappa| e^(s/kappa)), so on the lattice
+    t = taus[i] the value is (h / x) sum_i w(log x + taus[i]) values[i]:
+    nothing is interpolated.  |w| is one real exponent, non-finite entries
+    0 as in laplace_mod; the phase e^(i Im(1 - alpha) s) of w splits into
+    one factor per x and one per sample, so no complex exponent is taken
+    per entry.
+    """
+    a1 = 1.0 - complex(alpha)
+    re_a, im_a, ak = a1.real, a1.imag, abs(kappa)
+    taus = grid.taus
+    vals = np.where(np.isfinite(grid.values), grid.values, 0.0)
+    if im_a:
+        vals = vals * np.exp(1j * im_a * taus)
+    # complex samples as (n, 2) real pairs: the product keeps real weights
+    pairs = vals.view(float).reshape(-1, 2)
+
+    def ev(x):
+        if np.any(x <= 0):
+            raise ParameterError("argument must be positive")
+        logx = np.log(x).ravel()
+        out = np.empty((logx.size, 2))
+        for start in range(0, logx.size, _LAPLACE_ROWS):
+            s = logx[start:start + _LAPLACE_ROWS, None] + taus
+            with np.errstate(over="ignore", invalid="ignore"):
+                # built in place: s, w and one temporary are all that is held
+                w = np.exp(s / kappa)
+                w *= -ak
+                w += re_a * s
+                np.exp(w, out=w)
+            w[~np.isfinite(w)] = 0.0
+            out[start:start + _LAPLACE_ROWS] = w @ pairs
+        vals_x = out.view(complex).ravel()
+        if im_a:
+            vals_x = vals_x * np.exp(1j * im_a * logx)
+        return grid.h * vals_x.reshape(x.shape) / x
+
+    return LiveFunction(ev, nu, cost=1)
 
 
 def _out_weight(prim, nu: float) -> float:
@@ -377,6 +438,13 @@ class HankelOp:
 
 @dataclass(frozen=True)
 class LaplaceOp:
+    """Modified Laplace transform of index kappa and offset alpha.
+
+    A closed-form input (cost 0) goes through the pointwise laplace_mod; a
+    costly one is tabulated and summed on the table's own lattice
+    (_laplace_on_grid), with no interpolation and no sweep per x.
+    """
+
     index: float  # kappa
     offset: complex  # alpha
     kind: str = field(default="laplace", init=False)
@@ -398,7 +466,10 @@ class LaplaceOp:
                                   f"nu={nu:g}, alpha={self.offset}")
 
     def apply(self, live: LiveFunction) -> LiveFunction:
-        return _integral_step(self, live, laplace_mod, self.index, self.offset)
+        if getattr(live, "cost", 0) < 1:
+            return _integral_step(self, live, laplace_mod, self.index, self.offset)
+        return _laplace_on_grid(self.index, self.offset, tabulate(live),
+                                _out_weight(self, live.nu))
 
     def describe(self):
         return {"op": "laplace", "index": self.index,

@@ -108,6 +108,12 @@ def test_mellin_line_samples_on_both_line_rules(name, closed_form, trapezoid):
     assert abs(mellin_line_samples(f, 0.5 + 2.0j) - closed_form(0.5 + 2.0j)) < 1e-12
 
 
+@pytest.mark.parametrize("s_nodes", [np.zeros(0) + 0.5, np.zeros((0, 3)) + 0.5])
+def test_mellin_line_samples_empty_line(s_nodes):
+    vals = mellin_line_samples(EXPF, s_nodes)
+    assert vals.shape == s_nodes.shape and vals.dtype == complex
+
+
 @settings(max_examples=60, deadline=None)
 @given(c=st.floats(-0.4, 2.0), margin=st.floats(0.2, 2.5), top=st.floats(0.0, 48.0))
 def test_mellin_line_samples_trunc_power(c, margin, top):

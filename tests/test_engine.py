@@ -2,9 +2,12 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import exp1
 
 from foxh import (
     DivergentIntegralError,
@@ -21,6 +24,7 @@ from foxh import (
     htransform_direct,
     htransform_mellin,
     htransform_repr,
+    laplace_mod,
     log_gamma,
     plan_factorization,
     validate_params,
@@ -32,6 +36,7 @@ from foxh.engine import (
     HankelOp,
     LaplaceOp,
     LiveFunction,
+    LogGrid,
     chain_action,
     tabulate,
 )
@@ -296,6 +301,14 @@ def test_route_agreement_beta_kernel():
     assert np.max(np.abs(d.values - p.values) / scale) < 1e-5
 
 
+def test_beta_kernel_plan_route_matches_closed_form():
+    # H^{1,1}_{1,1}[(0,1);(0,1)] maps e^{-t} to e^{1/x} E_1(1/x) / x; both
+    # Laplace steps of the case 5 chain sum on their input's table lattice
+    p = apply_plan(plan_factorization(BETA_K, 0.5, 2.0), F_EXP, XS)
+    ref = np.exp(1.0 / XS) * exp1(1.0 / XS) / XS
+    assert np.max(np.abs(p.values - ref) / np.abs(ref)) < 1e-12
+
+
 def test_plan_route_case1_agrees_with_mellin():
     params, nu, r = canonical_params(1)
     m = htransform_mellin(params, F_EXP, XS, SpaceSpec(nu, 2.0))
@@ -367,6 +380,59 @@ def test_tabulate_accuracy():
     tab = tabulate(live)
     xs = np.geomspace(0.03, 30.0, 23)
     assert np.max(np.abs(tab(xs) - np.exp(-1.0 / xs) / xs)) < 1e-9
+
+
+def test_tabulate_returns_its_lattice():
+    live = LiveFunction(lambda x: x * np.exp(-x), 0.5, cost=1)
+    tab = tabulate(live)
+    assert isinstance(tab, LogGrid) and tab.cost == 0 and tab.nu == 0.5
+    assert np.allclose(np.diff(tab.taus), tab.h)
+    assert np.array_equal(tab.values, live(np.exp(tab.taus)))
+    # the interpolant returns the samples on the lattice and zero off the table
+    assert np.allclose(tab(np.exp(tab.taus)), tab.values, rtol=0, atol=1e-11)
+    assert np.all(tab(np.exp([tab.taus[0] - 1.0, tab.hi + 1.0])) == 0.0)
+    empty = tabulate(LiveFunction(lambda x: np.zeros_like(x), 0.5, cost=1))
+    assert empty.taus.size == 0 and np.all(empty(XS) == 0.0)
+    out = LaplaceOp(1.0, 0.0).apply(LiveFunction(empty, 0.5, cost=1))
+    assert np.all(out(XS) == 0.0)
+
+
+_TEXP_LIVE = LiveFunction(lambda t: t * np.exp(-t), 0.5, cost=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kappa=st.floats(0.25, 2.0), negative=st.booleans(),
+       re_alpha=st.floats(-1.0, 1.0), im_alpha=st.sampled_from([0.0, -1.3, 0.4, 2.0]),
+       logx=st.lists(st.floats(-5.0, 5.0), max_size=4))
+def test_laplace_grid_sum_matches_pointwise_oracle(kappa, negative, re_alpha, im_alpha,
+                                                   logx):
+    # a costly input is summed on its table's lattice; laplace_mod samples
+    # the input itself.  Re alpha <= 1 keeps the integrand (like
+    # e^{(2 - Re alpha) tau} toward tau -> -inf for kappa > 0) negligible
+    # where the table stops, 1e-17 of the input's peak.  The drawn x join a
+    # fixed spread over e^-5..e^5, which sets the scale max|value|.
+    kappa = -kappa if negative else kappa
+    alpha = complex(re_alpha, im_alpha)
+    x = np.exp(np.concatenate([np.linspace(-5.0, 5.0, 9), logx]))
+    grid = LaplaceOp(kappa, alpha).apply(_TEXP_LIVE)(x)
+    oracle = laplace_mod(kappa, alpha, _TEXP_LIVE, x)
+    assert np.max(np.abs(grid - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+def test_laplace_grid_sum_memory_stays_below_dense_matrix():
+    # the weights are built 64 rows at a time, never n_x x n at once
+    live = LiveFunction(lambda t: np.sqrt(t) * np.exp(-t), 0.5, cost=1)
+    n = tabulate(live).taus.size
+    assert n >= 1500
+    out = LaplaceOp(1.0, 0.3 + 0.5j).apply(live)
+    x = np.exp(np.linspace(-5.0, 5.0, 2000))
+    tracemalloc.start()
+    try:
+        out(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * x.size * n * 16
 
 
 def test_apply_plan_checks_membership():

@@ -4,13 +4,20 @@ perfbench/tracer.py names the functions and methods it times by dotted path
 (``LAYERS``).  Installing the tracer resolves each path and fails on one that
 no longer exists, so a rename in foxh shows up here, not first in a traced
 benchmark run.  The tracer module is loaded from its file, without writing
-bytecode next to it, and is uninstalled again before the test returns.
+bytecode next to it, and is uninstalled again before each test returns.
+A traced plan run also shows which layers a chain reaches.
 """
 
 import importlib.util
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
+
+import foxh
+
+from conftest import canonical_params
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -34,3 +41,21 @@ def test_every_traced_layer_resolves():
     finally:
         t.uninstall()
     assert sorted(t.layers) == sorted(tracer.LAYERS)
+
+
+def test_plan_route_tabulates_and_skips_the_pointwise_laplace():
+    # case 5 chains two Laplace steps on costly inputs: both sum on the
+    # table's lattice, so the traced run sees samples and no laplace_mod call
+    tracer = _load_tracer()
+    t = tracer.Tracer(time.perf_counter)
+    params, nu, r = canonical_params(5)
+    plan = foxh.plan_factorization(params, nu, r)
+    try:
+        t.install()
+        t.active = True
+        foxh.apply_plan(plan, foxh.TestFunction.power_exp(1.0, 1.0), np.array([0.5, 1.3, 3.0]))
+    finally:
+        t.active = False
+        t.uninstall()
+    assert t.work.get("engine.tabulate.samples", 0) > 0
+    assert t.totals()["classical.laplace_mod"]["calls"] == 0
