@@ -815,9 +815,11 @@ def laplace_mod(kappa: float, alpha, f, x):
     one weight for every x, so each block of _LAPLACE_BLOCK arguments is one
     vector-valued trapezoid_line call with a column per argument; every
     column keeps the stopping rules, and so the value, of its own scalar call.
-    Chain steps use it on closed-form inputs only; a tabulated input is
-    summed on its own lattice instead (engine.LaplaceOp), and this routine
-    is the oracle that sum and the Mellin-identity checks compare against.
+    Chain steps do not call it: engine.LaplaceOp sums on its input's table
+    lattice.  This routine is the pointwise oracle that sum and the
+    Mellin-identity checks compare against.  Its step stops halving at
+    1/32, so for |kappa| well below 0.25 it loses digits (about 1e-9 at
+    |kappa| = 0.05).
     """
     alpha = complex(alpha)
     if kappa == 0:

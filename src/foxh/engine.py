@@ -34,7 +34,6 @@ from .classical import (
     TestFunction,
     ek_fractional,
     hankel_mod,
-    laplace_mod,
     mellin_line_samples,
     mellin_inverse_numeric,
     support_of,
@@ -92,6 +91,8 @@ _LAGRANGE_W8 = np.array([-1.0, 7.0, -21.0, 35.0, -35.0, 21.0, -7.0, 1.0])
 
 # tabulate's grid reaches this far in log x past its support window
 _TABLE_MARGIN = 2.5
+# tabulate's default lattice step in log x
+_TABLE_STEP = 0.05
 
 
 class LogGrid(LiveFunction):
@@ -138,7 +139,7 @@ class LogGrid(LiveFunction):
         return out
 
 
-def tabulate(live: LiveFunction, *, h: float = 0.05,
+def tabulate(live: LiveFunction, *, h: float = _TABLE_STEP,
              floor: float = 1e-17) -> LogGrid:
     """Sample a function on a log-uniform grid, as a LogGrid.
 
@@ -440,9 +441,9 @@ class HankelOp:
 class LaplaceOp:
     """Modified Laplace transform of index kappa and offset alpha.
 
-    A closed-form input (cost 0) goes through the pointwise laplace_mod; a
-    costly one is tabulated and summed on the table's own lattice
-    (_laplace_on_grid), with no interpolation and no sweep per x.
+    apply tabulates its input and sums on the table's own lattice
+    (_laplace_on_grid), with no interpolation and no sweep per x;
+    classical.laplace_mod is the pointwise form it is checked against.
     """
 
     index: float  # kappa
@@ -466,9 +467,11 @@ class LaplaceOp:
                                   f"nu={nu:g}, alpha={self.offset}")
 
     def apply(self, live: LiveFunction) -> LiveFunction:
-        if getattr(live, "cost", 0) < 1:
-            return _integral_step(self, live, laplace_mod, self.index, self.offset)
-        return _laplace_on_grid(self.index, self.offset, tabulate(live),
+        # the weight is analytic for |Im s| < pi |kappa| / 2, so the lattice
+        # sum errs like exp(-pi^2 |kappa| / h): h <= |kappa| / 4 makes that
+        # exp(-4 pi^2), about 7e-18
+        h = min(_TABLE_STEP, abs(self.index) / 4.0)
+        return _laplace_on_grid(self.index, self.offset, tabulate(live, h=h),
                                 _out_weight(self, live.nu))
 
     def describe(self):

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 from scipy.special import exp1
 
 from foxh import (
@@ -417,6 +418,34 @@ def test_laplace_grid_sum_matches_pointwise_oracle(kappa, negative, re_alpha, im
     grid = LaplaceOp(kappa, alpha).apply(_TEXP_LIVE)(x)
     oracle = laplace_mod(kappa, alpha, _TEXP_LIVE, x)
     assert np.max(np.abs(grid - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+def _laplace_by_quad(kappa, alpha, f, x):
+    # laplace_mod's tau integral by adaptive quadrature, split where the
+    # weight and the input turn over
+    def g(tau):
+        with np.errstate(over="ignore"):
+            v = np.exp((1.0 - alpha) * tau - abs(kappa) * np.exp(tau / kappa))
+        return complex(v * f(np.exp(tau) / x)[0] / x) if np.isfinite(v) else 0.0
+
+    return quad(g, -60.0, 60.0, points=sorted([0.0, math.log(x)]), limit=400,
+                epsabs=0.0, epsrel=1e-13, complex_func=True)[0]
+
+
+@settings(max_examples=12, deadline=None)
+@given(kappa=st.floats(0.05, 0.25), negative=st.booleans(),
+       re_alpha=st.floats(-1.0, 1.0), im_alpha=st.sampled_from([0.0, -1.3, 0.4]))
+def test_laplace_grid_sum_small_kappa_matches_quadrature(kappa, negative, re_alpha,
+                                                         im_alpha):
+    # the weight cuts off over a width ~|kappa| in tau, so the lattice must
+    # refine with |kappa|; laplace_mod stops halving at 1/32 and is no
+    # oracle here, so the reference is adaptive quadrature
+    kappa = -kappa if negative else kappa
+    alpha = complex(re_alpha, im_alpha)
+    x = np.exp(np.linspace(-5.0, 5.0, 5))
+    grid = LaplaceOp(kappa, alpha).apply(_TEXP_LIVE)(x)
+    ref = np.array([_laplace_by_quad(kappa, alpha, _TEXP_LIVE, xi) for xi in x])
+    assert np.max(np.abs(grid - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_laplace_grid_sum_memory_stays_below_dense_matrix():
