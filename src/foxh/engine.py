@@ -152,7 +152,9 @@ def tabulate(live: LiveFunction, *, h: float = _TABLE_STEP,
         return LogGrid(np.zeros(0), np.zeros(0, dtype=complex), h, -np.inf, live.nu)
     t_lo = win[0] - _TABLE_MARGIN
     t_hi = win[1] + _TABLE_MARGIN
-    taus = np.arange(t_lo, t_hi + h, h)
+    # as many points as np.arange(t_lo, t_hi + h, h), but placed exactly at
+    # t_lo + i h, where the interpolant looks for them
+    taus = t_lo + h * np.arange(math.ceil((t_hi + h - t_lo) / h))
     return LogGrid(taus, live(np.exp(taus)), h, t_hi, live.nu)
 
 

@@ -257,44 +257,61 @@ def trapezoid_line(g, *, tol: float = 1e-12, center: float = 0.0):
 def wynn_epsilon(partial_sums):
     """Accelerate partial sums with Wynn's epsilon algorithm.
 
-    Returns (best_estimate, stability_gap): the top even-column entry and
-    the spread of the last few even columns, usable as an error proxy.
+    partial_sums has shape (n,) or (n, m): one sequence, or m sequences in
+    columns, each accelerated on its own rules.  Returns
+    (best_estimate, stability_gap) per sequence: the top entry of the even
+    column where consecutive even columns agree best, and that gap, usable
+    as an error proxy.  A 1-D input gives a complex and a float, an (n, m)
+    input two arrays of shape (m,).
     """
-    s = [complex(v) for v in partial_sums]
-    n = len(s)
+    s = np.asarray(partial_sums, dtype=complex)
+    one_d = s.ndim == 1
+    s = s.reshape(s.shape[0], -1)
+    n, m = s.shape
     if n == 0:
         raise ValueError("no partial sums")
-    if n < 3:
-        return s[-1], (abs(s[-1] - s[0]) if n > 1 else math.inf)
-    scale = max(abs(v) for v in s)
-    if scale == 0.0:
-        return 0.0 + 0.0j, 0.0
-    if max(abs(b - a) for a, b in zip(s[:-1], s[1:])) <= 1e-15 * scale:
-        return s[-1], 0.0
-    col_prev = [0.0 + 0.0j] * (n + 1)
-    col_curr = list(s)
-    even_tops = [col_curr[-1]]
+    # exhausted columns stay in the arrays, where inf - inf may occur
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if n < 3:
+            best_val = s[-1].copy()
+            best_gap = np.abs(s[-1] - s[0]) if n > 1 else np.full(m, math.inf)
+        else:
+            best_val, best_gap = _wynn_columns(s)
+    if one_d:
+        return complex(best_val[0]), float(best_gap[0])
+    return best_val, best_gap
+
+
+def _wynn_columns(s):
+    """wynn_epsilon on the columns of s, which has at least 3 rows."""
+    n, m = s.shape
+    # flat columns, all-zero ones among them, keep their last entry
+    flat = np.max(np.abs(np.diff(s, axis=0)), axis=0) <= 1e-15 * np.max(np.abs(s), axis=0)
+    # a column's table grows while no difference in it is at rounding level
+    live = ~flat
+    col_prev = np.zeros((n + 1, m), dtype=complex)
+    col_curr = s
+    even_tops = [s[-1]]
+    n_tops = np.ones(m, dtype=int)
     k = 0
-    exhausted = False
-    while len(col_curr) >= 2 and not exhausted:
-        col_next = []
-        for j in range(len(col_curr) - 1):
-            d = col_curr[j + 1] - col_curr[j]
-            # dividing differences at rounding level only makes noise
-            if abs(d) <= 5e-16 * (abs(col_curr[j]) + abs(col_curr[j + 1])) + 1e-280:
-                exhausted = True
-                break
-            col_next.append(col_prev[j + 1] + 1.0 / d)
-        if exhausted:
-            break
-        col_prev, col_curr = col_curr, col_next
+    while col_curr.shape[0] >= 2 and live.any():
+        a = np.abs(col_curr)
+        d = col_curr[1:] - col_curr[:-1]
+        # dividing differences at rounding level only makes noise
+        live &= ~np.any(np.abs(d) <= 5e-16 * (a[:-1] + a[1:]) + 1e-280, axis=0)
+        col_prev, col_curr = col_curr, col_prev[1:col_curr.shape[0]] + 1.0 / d
         k += 1
-        if k % 2 == 0 and col_curr:
+        if k % 2 == 0:
             even_tops.append(col_curr[-1])
-    # keep the entry where consecutive even columns agree best (the plateau)
-    best_val, best_gap = even_tops[-1], math.inf
-    for a, b in zip(even_tops[:-1], even_tops[1:]):
-        gap = abs(b - a)
-        if gap <= best_gap:
-            best_gap, best_val = gap, b
+            n_tops += live
+    # keep the entry where consecutive even columns agree best (the plateau);
+    # a column's first n_tops even tops were formed before it was exhausted
+    best_val = np.array(even_tops)[n_tops - 1, np.arange(m)]
+    best_gap = np.full(m, math.inf)
+    for i in range(1, len(even_tops)):
+        gap = np.abs(even_tops[i] - even_tops[i - 1])
+        take = (i < n_tops) & (gap <= best_gap)
+        best_gap[take] = gap[take]
+        best_val[take] = even_tops[i][take]
+    best_val[flat], best_gap[flat] = s[-1, flat], 0.0
     return best_val, best_gap

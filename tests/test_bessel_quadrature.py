@@ -5,6 +5,7 @@ The oscillatory Bessel integrals are taken with hankel_mod at kappa = 1,
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -128,6 +129,61 @@ def test_wynn_accelerates_log2():
 def test_wynn_handles_converged_input():
     est, gap = wynn_epsilon([1.0] * 20)
     assert est == 1.0 and gap == 0.0
+
+
+def _wynn_loop(partial_sums):
+    # one sequence, entry by entry, as a reference for the column form
+    s = [complex(v) for v in partial_sums]
+    n = len(s)
+    scale = max(abs(v) for v in s)
+    if scale == 0.0:
+        return 0.0 + 0.0j, 0.0
+    if max(abs(b - a) for a, b in zip(s[:-1], s[1:])) <= 1e-15 * scale:
+        return s[-1], 0.0
+    col_prev, col_curr = [0.0 + 0.0j] * (n + 1), list(s)
+    even_tops, k = [col_curr[-1]], 0
+    while len(col_curr) >= 2:
+        pairs = list(zip(col_curr[:-1], col_curr[1:]))
+        if any(abs(b - a) <= 5e-16 * (abs(a) + abs(b)) + 1e-280 for a, b in pairs):
+            break
+        col_next = [p + 1.0 / (b - a) for p, (a, b) in zip(col_prev[1:], pairs)]
+        col_prev, col_curr = col_curr, col_next
+        k += 1
+        if k % 2 == 0:
+            even_tops.append(col_curr[-1])
+    best_val, best_gap = even_tops[-1], math.inf
+    for a, b in zip(even_tops[:-1], even_tops[1:]):
+        if abs(b - a) <= best_gap:
+            best_gap, best_val = abs(b - a), b
+    return best_val, best_gap
+
+
+def test_wynn_columns_equal_scalar_calls():
+    k = np.arange(40)
+    cols = [
+        np.cumsum((-1.0) ** k / (k + 1.0)),
+        np.cumsum((-1.0) ** k / (k + 1.0) ** 2),
+        np.cumsum((-0.8 + 0.3j) ** k),
+        np.full(40, 2.5 - 1.0j),  # flat
+        np.zeros(40),
+        np.cumsum(0.3 ** k),  # differences at rounding level at once
+        1.5e308 * (-1.0) ** k,  # differences overflow to inf
+    ]
+    table = np.column_stack(cols)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est, gap = wynn_epsilon(table)
+        scalar = [wynn_epsilon(col) for col in cols]
+    assert est.shape == gap.shape == (len(cols),)
+    np.testing.assert_allclose(est, [e for e, _ in scalar], rtol=1e-15, atol=0)
+    np.testing.assert_allclose(gap, [g for _, g in scalar], rtol=1e-15, atol=0)
+    loop = [_wynn_loop(col) for col in cols]
+    np.testing.assert_allclose(est, [e for e, _ in loop], rtol=1e-15, atol=0)
+    np.testing.assert_allclose(gap, [g for _, g in loop], rtol=1e-15, atol=0)
+    assert abs(est[0] - math.log(2.0)) < 1e-12
+    assert est[3] == 2.5 - 1.0j and gap[3] == 0.0
+    assert est[4] == 0.0 and gap[4] == 0.0
+    assert est[5] == cols[5][-1] and gap[5] == math.inf
 
 
 def test_oscillatory_integral_exponential_weight():

@@ -398,6 +398,15 @@ def test_tabulate_returns_its_lattice():
     assert np.all(out(XS) == 0.0)
 
 
+def test_tabulate_lattice_points_sit_where_the_interpolant_reads_them():
+    tab = tabulate(LiveFunction(lambda x: x * np.exp(-x), 0.5, cost=1))
+    assert np.array_equal(tab.taus, tab.taus[0] + tab.h * np.arange(tab.taus.size))
+    # the last sample lies at or past hi, where the table is zero
+    got = tab(np.exp(tab.taus))
+    assert tab.taus[-1] >= tab.hi - 1e-12 and got[-1] == 0.0
+    np.testing.assert_allclose(got[:-1], tab.values[:-1], rtol=1e-15, atol=0)
+
+
 _TEXP_LIVE = LiveFunction(lambda t: t * np.exp(-t), 0.5, cost=1)
 
 
