@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -113,9 +112,9 @@ class TestFunction:
     """Analytic test function with a closed-form Mellin transform.
 
     Families: 'power-exp' A t^c e^(-p t); 'trunc-power' A t^c on (0,1);
-    'gaussian' A t^c e^(-p t^2); 'grid' (no closed form).  Membership in a
-    weighted space is witnessed by nu + c > 0 (all closed-form families
-    decay fast enough at infinity for every exponent r).
+    'gaussian' A t^c e^(-p t^2).  Membership in a weighted space is
+    witnessed by nu + c > 0 (every family decays fast enough at infinity for
+    every exponent r).  Sampled data without a closed form is a GridFunction.
     """
 
     __test__ = False  # a library class, not a pytest test class
@@ -124,17 +123,14 @@ class TestFunction:
     c: float = 0.0
     p: float = 1.0
     amplitude: complex = 1.0
-    grid: Optional[GridFunction] = None
     _checked: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        if self.family not in ("power-exp", "trunc-power", "gaussian", "grid"):
+        if self.family not in ("power-exp", "trunc-power", "gaussian"):
             raise ParameterError(f"unknown test-function family {self.family!r}")
-        if self.family != "grid" and self.p <= 0:
+        if self.p <= 0:
             raise ParameterError("decay rate must be positive")
-        if self.family == "grid" and self.grid is None:
-            raise ParameterError("grid family needs grid data")
-        if not self._checked and self.family != "grid" and self.amplitude != 0:
+        if not self._checked and self.amplitude != 0:
             _self_check_cached(self.family, self.c, self.p)
 
     # -- evaluation ---------------------------------------------------
@@ -150,18 +146,15 @@ class TestFunction:
             bad = ~(np.isfinite(x) & (x > 0))
             x = np.where(bad, 1.0, x)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if self.family == "grid":
-                out = self.grid(x)
-            else:
-                out = np.log(x)
-                out *= self.c
-                if self.family == "power-exp":
-                    out -= self.p * x
-                elif self.family == "gaussian":
-                    out -= self.p * (x * x)
-                np.exp(out, out=out)
-                if self.family == "trunc-power":
-                    out[x >= 1.0] = 0.0
+            out = np.log(x)
+            out *= self.c
+            if self.family == "power-exp":
+                out -= self.p * x
+            elif self.family == "gaussian":
+                out -= self.p * (x * x)
+            np.exp(out, out=out)
+            if self.family == "trunc-power":
+                out[x >= 1.0] = 0.0
         if bad is not None:
             out[bad] = 0.0
         return self.amplitude * out
@@ -170,14 +163,12 @@ class TestFunction:
     def support(self) -> "Support":
         if self.family == "trunc-power":
             return Support(self, (None, 0.0))
-        if self.family == "grid":
-            return Support(self, self.grid.support.hard)
         return Support(self)
 
     # -- Mellin data ----------------------------------------------------
 
     def mellin_strip(self):
-        if self.family == "grid" or self.amplitude == 0:
+        if self.amplitude == 0:
             return (-math.inf, math.inf)
         return (-self.c, math.inf)
 
@@ -192,14 +183,12 @@ class TestFunction:
             out = 0.5 * np.exp(
                 log_gamma((s + self.c) / 2.0) - (s + self.c) / 2.0 * math.log(self.p)
             )
-        elif self.family == "trunc-power":
-            out = 1.0 / (s + self.c)
         else:
-            raise NumericalError("grid functions have no closed-form Mellin data")
+            out = 1.0 / (s + self.c)
         return self.amplitude * out
 
     def in_space(self, nu: float, r: float = 2.0) -> bool:
-        if self.amplitude == 0 or self.family == "grid":
+        if self.amplitude == 0:
             return True
         return nu + self.c > 0
 

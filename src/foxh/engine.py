@@ -812,7 +812,7 @@ def htransform_mellin(params: HParams, f, xs, space: SpaceSpec,
     ok, reason = admissible_range(inv, space, "definition")
     if not ok:
         raise HypothesisError("multiplier route inadmissible", reason)
-    if not isinstance(f, TestFunction) or f.family == "grid":
+    if not isinstance(f, TestFunction):
         raise HypothesisError("closed-form Mellin data", "needed on the working line")
     lo, hi = f.mellin_strip()
     if not (lo < space.nu < hi):

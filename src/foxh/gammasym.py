@@ -11,6 +11,13 @@ actions of factorization chains require.
 Evaluation goes through summed log-gammas, so magnitudes far beyond float
 range are usable in log form, and the imaginary part varies continuously
 along vertical contours (each factor's argument moves monotonically).
+
+Neither Gamma nor base^z vanishes, so the zeros of a symbol are exactly the
+poles of its denominator factors that numerator poles do not cancel, with
+multiplicity, and its poles are the numerator poles that denominator poles
+do not cancel.  Both sets are listed in closed form (``structural_zeros``,
+``uncancelled_poles``); the exceptional-set probe ``find_zeros_on_line``
+reads its zeros from that list.
 """
 
 from __future__ import annotations
@@ -21,19 +28,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    NumericalError,
-    OutOfTheoryError,
-    ParameterError,
-    PoleError,
-    PoleOnLineError,
-)
+from .errors import OutOfTheoryError, ParameterError, PoleOnLineError
 from .gammafn import digamma, log_gamma
 from .params import HParams, Invariants, transpose_params
-from .quadrature import panel_rule
 
 _ON_LINE_TOL = 1e-9
-_DEFLATION_TOL = 1e-10
+_MATCH_TOL = 1e-9
+_MAX_POLE_INDEX = 10000
 
 
 @dataclass(frozen=True)
@@ -110,66 +111,48 @@ class GammaSymbol:
 
     # -- structure --------------------------------------------------------
 
-    def pole_candidates(self, which: str, im_max: float, re_window=None):
-        """Exact pole locations of the chosen factor group inside a window."""
+    def pole_candidates(self, which: str, im_max: float, re_window):
+        """Exact pole locations of the chosen factor group inside a window.
+
+        Gamma(c + w s) has its poles s_k = (-k - c) / w, k = 0, ..., 10000,
+        on one horizontal line.  A factor whose line lies beyond im_max + 1
+        in |Im| gives none; otherwise only the k whose real part can fall
+        within one of re_window are formed.
+        """
         factors = self.num if which == "num" else self.den
+        re_lo, re_hi = re_window[0] - 1.0, re_window[1] + 1.0
         pts = []
         for c, w in factors:
-            if w == 0:
+            if w == 0 or abs((-c / w).imag) > im_max + 1.0:
                 continue
-            # c + w s = -k  =>  s = (-k - c) / w
-            k = 0
-            while True:
+            # Re s_k = (-k - Re c) / w lies in [re_lo, re_hi] for k between
+            # these two ends; one extra k each way absorbs rounding
+            k_ends = (-c.real - re_lo * w, -c.real - re_hi * w)
+            k_lo = max(0, math.floor(min(k_ends)) - 1)
+            k_hi = min(_MAX_POLE_INDEX, math.ceil(max(k_ends)) + 1)
+            for k in range(k_lo, k_hi + 1):
                 sk = (-k - c) / w
-                if abs(sk.imag) > im_max + 1.0:
-                    break
-                if re_window is None or (re_window[0] - 1.0 <= sk.real <= re_window[1] + 1.0):
+                if re_lo <= sk.real <= re_hi:
                     pts.append(sk)
-                k += 1
-                if k > 10000:
-                    break
         return pts
 
-    def structural_zeros(self, im_max: float, re_window=None):
+    def structural_zeros(self, im_max: float, re_window):
         """Zeros with multiplicity: denominator poles not cancelled upstairs."""
-        den_pts = self.pole_candidates("den", im_max, re_window)
-        num_pts = self.pole_candidates("num", im_max, re_window)
         out = []
-        used = [False] * len(num_pts)
-        for z in den_pts:
-            mult = 1
-            for i, pz in enumerate(num_pts):
-                if not used[i] and abs(pz - z) < 1e-9:
-                    used[i] = True
-                    mult -= 1
+        for z in _cancel(self.pole_candidates("den", im_max, re_window),
+                         self.pole_candidates("num", im_max, re_window)):
+            for idx, (z0, m0) in enumerate(out):
+                if abs(z0 - z) < _MATCH_TOL:
+                    out[idx] = (z0, m0 + 1)
                     break
-            if mult > 0:
-                merged = False
-                for idx, (z0, m0) in enumerate(out):
-                    if abs(z0 - z) < 1e-9:
-                        out[idx] = (z0, m0 + 1)
-                        merged = True
-                        break
-                if not merged:
-                    out.append((z, 1))
+            else:
+                out.append((z, 1))
         return out
 
-    def uncancelled_poles(self, im_max: float, re_window=None):
+    def uncancelled_poles(self, im_max: float, re_window):
         """True poles of the symbol (numerator poles not cancelled below)."""
-        den_pts = self.pole_candidates("den", im_max, re_window)
-        num_pts = self.pole_candidates("num", im_max, re_window)
-        out = []
-        used = [False] * len(den_pts)
-        for z in num_pts:
-            keep = True
-            for i, pz in enumerate(den_pts):
-                if not used[i] and abs(pz - z) < 1e-9:
-                    used[i] = True
-                    keep = False
-                    break
-            if keep:
-                out.append(z)
-        return out
+        return _cancel(self.pole_candidates("num", im_max, re_window),
+                       self.pole_candidates("den", im_max, re_window))
 
     # -- serialization ----------------------------------------------------
 
@@ -191,6 +174,21 @@ class GammaSymbol:
             for b, ur, ui, vr, vi in data.get("powers", [])
         )
         return GammaSymbol(num, den, powers)
+
+
+def _cancel(pts, against):
+    """pts as a multiset, less one match (within _MATCH_TOL) per entry of
+    against; order kept."""
+    used = [False] * len(against)
+    out = []
+    for z in pts:
+        for i, pz in enumerate(against):
+            if not used[i] and abs(pz - z) < _MATCH_TOL:
+                used[i] = True
+                break
+        else:
+            out.append(z)
+    return out
 
 
 def symbol_from_params(params: HParams) -> GammaSymbol:
@@ -404,68 +402,17 @@ class ZeroReport:
         }
 
 
-def _winding(sym: GammaSymbol, re_lo, re_hi, im_lo, im_hi, npp=16, width=0.5):
-    """Winding number of the symbol around the rectangle via its log-derivative."""
-    corners = [
-        complex(re_hi, im_lo), complex(re_hi, im_hi),
-        complex(re_lo, im_hi), complex(re_lo, im_lo),
-    ]
-    total = 0.0 + 0.0j
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        length = abs(b - a)
-        nodes, weights = panel_rule(0.0, length, width, npp)
-        direction = (b - a) / length
-        pts = a + nodes * direction
-        vals = sym.log_derivative(pts)
-        total += np.sum(np.asarray(vals) * weights) * direction
-    return total / (2.0j * math.pi)
-
-
-def _winding_int(sym, re_lo, re_hi, im_lo, im_hi):
-    for npp, width in ((16, 0.5), (24, 0.25), (32, 0.1)):
-        w = _winding(sym, re_lo, re_hi, im_lo, im_hi, npp, width)
-        if abs(w - round(w.real)) < 0.1 and abs(w.imag) < 0.1:
-            return int(round(w.real))
-    raise NumericalError("winding integral did not settle to an integer")
-
-
-def _safe_eval(sym: GammaSymbol, z: complex) -> complex:
-    try:
-        return complex(sym.eval(z))
-    except PoleError:
-        return complex(sym.eval(z + 3.7e-11 + 2.9e-11j))
-
-
-def _refine_zero(sym: GammaSymbol, z0: complex, candidates) -> complex:
-    if candidates:
-        # structural zeros are exact: take the nearest one in the box
-        return min(candidates, key=lambda z: abs(z - z0))
-    # derivative-free secant refinement
-    z_prev = z0 + 1e-4
-    f_prev = _safe_eval(sym, z_prev)
-    z_cur = z0
-    f_cur = _safe_eval(sym, z_cur)
-    for _ in range(80):
-        denom = f_cur - f_prev
-        if denom == 0:
-            break
-        step = f_cur * (z_cur - z_prev) / denom
-        z_prev, f_prev = z_cur, f_cur
-        z_cur = z_cur - step
-        f_cur = _safe_eval(sym, z_cur)
-        if abs(step) < 1e-13 * (1.0 + abs(z_cur)):
-            break
-    return z_cur
-
-
 def find_zeros_on_line(sym: GammaSymbol, nu: float, window: float,
                        strip: Optional[tuple] = None) -> ZeroReport:
-    """Locate zeros of the symbol with |Im s| <= window around Re s = 1 - nu.
+    """Zeros of the symbol with |Im s| <= window near the line Re s = 1 - nu.
 
-    Counting is done by the argument principle over rectangles tiling the
-    window, followed by local refinement; structurally exact zero locations
-    (denominator-factor poles) seed the refinement.  A pole of the symbol on
-    the line raises PoleOnLineError.
+    The zeros are the uncancelled denominator poles (``structural_zeros``),
+    so none is searched for: a zero is reported, with its multiplicity and
+    in (Im, Re) order, when it lies less than ``half`` from the line.
+    ``half`` is 1/4, at most half the distance to a finite strip edge or to
+    an uncancelled pole, and shrunk when a zero sits within 1e-6 of it.
+    The line is in the exceptional set when a zero lies on it (to 1e-9).
+    A pole of the symbol on the line raises PoleOnLineError.
     """
     line = 1.0 - nu
     if strip is not None:
@@ -473,7 +420,7 @@ def find_zeros_on_line(sym: GammaSymbol, nu: float, window: float,
         if not (lo < line < hi):
             raise ParameterError("probe line must lie strictly inside the strip")
 
-    poles = sym.uncancelled_poles(window, (line - 1.0, line + 1.0))
+    re_window = (line - 1.0, line + 1.0)
     half = 0.25
     if strip is not None:
         lo, hi = strip
@@ -481,69 +428,29 @@ def find_zeros_on_line(sym: GammaSymbol, nu: float, window: float,
             half = min(half, (line - lo) / 2.0)
         if math.isfinite(hi):
             half = min(half, (hi - line) / 2.0)
-    for pz in poles:
+    for pz in sym.uncancelled_poles(window, re_window):
         d = abs(pz.real - line)
         if d <= _ON_LINE_TOL:
             raise PoleOnLineError(
                 f"symbol pole at {pz:.12g} lies on the probe line Re s = {line:.12g}"
             )
         half = min(half, d / 2.0)
-    zeros_struct = [z for (z, _) in sym.structural_zeros(window, (line - 1.0, line + 1.0))]
-    # keep the contour clear of structural zeros
-    for z in zeros_struct:
+    zeros = sym.structural_zeros(window, re_window)
+    # a zero within 1e-6 of the box edge moves the edge, so that rounding
+    # in the line or the strip cannot decide whether it is reported
+    for z, _ in zeros:
         d = abs(z.real - line)
         if abs(d - half) < 1e-6:
             half = max(half * 0.7, d / 2.0 if d > 2e-6 else half * 0.7)
 
-    found: list[tuple[complex, int]] = []
-
-    def search(im_lo, im_hi):
-        count = _winding_int(sym, line - half, line + half, im_lo, im_hi)
-        if count == 0:
-            return
-        if count == 1 or (im_hi - im_lo) < 1e-3:
-            center = complex(line, 0.5 * (im_lo + im_hi))
-            inside = [
-                z for z in zeros_struct
-                if abs(z.real - line) <= half and im_lo - 1e-12 <= z.imag <= im_hi + 1e-12
-            ]
-            z = _refine_zero(sym, center, inside)
-            try:
-                val = abs(complex(sym.eval(z)))
-            except PoleError:
-                # a denominator-factor pole: the symbol vanishes there exactly
-                val = 0.0
-            if val > _DEFLATION_TOL:
-                raise NumericalError(
-                    f"refined zero candidate at {z:.12g} has |symbol| = {val:.3e}"
-                )
-            found.append((z, count))
-            return
-        mid = 0.5 * (im_lo + im_hi)
-        # avoid cutting through a structural zero
-        for z in zeros_struct:
-            if abs(z.imag - mid) < 0.01:
-                mid += 0.0137
-                break
-        search(im_lo, mid)
-        search(mid, im_hi)
-
-    # tile the window in bands of height <= 2, edges nudged off any zeros
-    band = 2.0
-    edges = list(np.arange(-window, window, band)) + [window]
-    edges = [float(e) for e in edges]
-    for i in range(1, len(edges) - 1):
-        while any(abs(z.imag - edges[i]) < 0.01 for z in zeros_struct):
-            edges[i] += 0.0137
-    for lo_e, hi_e in zip(edges[:-1], edges[1:]):
-        if hi_e > lo_e:
-            search(float(lo_e), float(hi_e))
-
-    found.sort(key=lambda zm: (zm[0].imag, zm[0].real))
-    on_line = [(z, m) for (z, m) in found if abs(z.real - line) <= _ON_LINE_TOL]
+    found = sorted(
+        ((z, m) for (z, m) in zeros
+         if abs(z.real - line) < half and abs(z.imag) <= window),
+        key=lambda zm: (zm[0].imag, zm[0].real),
+    )
     return ZeroReport(
         line=line,
         window=window,
         zeros=tuple(found),
-        in_exceptional_set=bool(on_line),
+        in_exceptional_set=any(abs(z.real - line) <= _ON_LINE_TOL for z, _ in found),
     )

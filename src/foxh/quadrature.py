@@ -117,15 +117,6 @@ def panel_sums(l, mid, off, coeff):
     return np.sum(np.exp(-1j * np.multiply.outer(l, mid)) * inner, axis=-1)
 
 
-def panel_rule(t_lo: float, t_hi: float, panel_width: float, nodes_per_panel: int):
-    """Composite Gauss-Legendre nodes/weights on [t_lo, t_hi]: equal_panels,
-    flattened."""
-    if t_hi <= t_lo:
-        raise ValueError("empty panel range")
-    mid, off, w = equal_panels(t_lo, t_hi, panel_width, nodes_per_panel)
-    return (mid[:, None] + off).ravel(), np.tile(w, mid.size)
-
-
 class LineRule:
     """(1/2 pi i) int F(s) x^(-s) ds on Re s = gamma, |Im s| <= T.
 

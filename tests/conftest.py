@@ -54,6 +54,31 @@ def random_params(rng: np.random.Generator, *, max_order=3, complex_offsets=True
     return validate_params(m, n, p, q, upper, lower)
 
 
+def line_in_strip(rng: np.random.Generator, inv) -> float:
+    """A probe line Re s drawn uniformly from the strip (alpha, beta), an
+    infinite end taken 4 from the other one (or from 1); 0.3 for an empty
+    strip."""
+    lo, hi = inv.alpha_low, inv.beta_high
+    a = lo if math.isfinite(lo) else min(hi, 1.0) - 4.0
+    b = hi if math.isfinite(hi) else a + 4.0
+    return float(rng.uniform(a, b)) if a < b else 0.3
+
+
+# Zero-probe inputs that defeat a numerical zero search, as (params, nu,
+# window): the symbol s^2 at Re s = 0 (a double zero on the line),
+# 1/(Gamma(s) Gamma(0.2 + s)) at Re s = 0 (two simple zeros 0.2 apart), and
+# a zero 7e-4 inside the edge of the probe's box.
+SQUARE_K = validate_params(2, 0, 2, 2, [(0.0, 1.0), (0.0, 1.0)],
+                           [(1.0, 1.0), (1.0, 1.0)])
+CLOSE_PAIR_K = validate_params(0, 0, 2, 0, [(0.0, 1.0), (0.2, 1.0)], [])
+EDGE_ZERO_K = validate_params(1, 0, 0, 2, [], [
+    (-0.9705295793158975 - 0.043626776543431944j, 1.112929419148387),
+    (-0.6463548866564452 + 0.35561384158697906j, 1.0264026564051854),
+])
+ZERO_PROBE_CASES = [(SQUARE_K, 1.0, 5.0), (CLOSE_PAIR_K, 1.0, 5.0),
+                    (EDGE_ZERO_K, -2.3032431408038985, 5.0)]
+
+
 def exp_series(x: float) -> float:
     """exp(-x) summed from its power series (independent oracle)."""
     total = 0.0

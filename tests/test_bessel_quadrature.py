@@ -16,9 +16,9 @@ from foxh.bessel import bessel_j, phase_breakpoints
 from foxh.classical import hankel_mod
 from foxh.errors import DivergentIntegralError
 from foxh.quadrature import (
+    equal_panels,
     gauss_jacobi,
     jacobi_unit_interval,
-    panel_rule,
     trapezoid_line,
     wynn_epsilon,
 )
@@ -71,9 +71,9 @@ def test_jacobi_unit_interval_beta_integral():
     assert abs(val - exact) < 1e-13
 
 
-def test_panel_rule_polynomial_exactness():
-    nodes, weights = panel_rule(0.0, 3.0, 1.0, 6)
-    val = float(np.sum(weights * nodes ** 7))
+def test_equal_panels_polynomial_exactness():
+    mid, off, w = equal_panels(0.0, 3.0, 1.0, 6)
+    val = float(np.sum(w * (mid[:, None] + off) ** 7))
     assert abs(val - 3.0 ** 8 / 8.0) < 1e-10
 
 

@@ -72,14 +72,9 @@ def _masked_formula(f, x):
             out = np.exp(f.c * logx - f.p * np.where(ok, x, 0.0))
         elif f.family == "gaussian":
             out = np.exp(f.c * logx - f.p * np.where(ok, x * x, 0.0))
-        elif f.family == "trunc-power":
-            out = np.where(x < 1.0, np.exp(f.c * logx), 0.0)
         else:
-            out = f.grid(np.where(ok, x, 1.0))
+            out = np.where(x < 1.0, np.exp(f.c * logx), 0.0)
     return f.amplitude * np.where(ok, out, 0.0)
-
-
-_GRID_T = np.geomspace(1e-3, 20.0, 64)
 
 
 @pytest.mark.parametrize("f", [
@@ -87,8 +82,7 @@ _GRID_T = np.geomspace(1e-3, 20.0, 64)
     TestFunction.power_exp(-0.4, 0.6, amplitude=2.0 - 1.0j),
     TestFunction.gaussian(0.5, 0.5),
     TestFunction.trunc_power(0.3),
-    TestFunction("grid", grid=GridFunction(_GRID_T, np.exp(-_GRID_T) * (1 - 0.5j))),
-], ids=["power-exp", "power-exp-complex", "gaussian", "trunc-power", "grid"])
+], ids=["power-exp", "power-exp-complex", "gaussian", "trunc-power"])
 def test_testfunction_call_equals_masked_formula(f):
     rng = np.random.default_rng(7)
     clean = np.exp(rng.uniform(-40.0, 6.0, 398))

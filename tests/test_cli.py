@@ -2,7 +2,12 @@
 
 import json
 
+import numpy as np
+
+from foxh import derive_invariants, params_to_json
 from foxh.cli import run_cli
+
+from conftest import ZERO_PROBE_CASES, line_in_strip, random_params
 
 EXP_PARAMS = '{"m":1,"n":0,"p":0,"q":1,"upper":[],"lower":[[0,0,1]]}'
 BESSEL_PARAMS = ('{"m":1,"n":0,"p":0,"q":2,"upper":[],'
@@ -157,3 +162,27 @@ def test_output_to_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("x,re_H")
+
+
+def _zeros_argv(params, nu, window):
+    return ["zeros", "--params", json.dumps(params_to_json(params)),
+            "--nu", repr(nu), "--window", repr(window)]
+
+
+def test_zeros_exit_codes_on_hard_and_random_kernels(capsys):
+    # the probe's exit code is 0, 1, 2 or 64 and no exception escapes it
+    cases = list(ZERO_PROBE_CASES)
+    rng = np.random.default_rng(20240814)
+    for _ in range(30):
+        p = random_params(rng)
+        line = line_in_strip(rng, derive_invariants(p))
+        cases.append((p, 1.0 - line, float(rng.choice([5.0, 10.0, 50.0]))))
+    codes = []
+    for params, nu, window in cases:
+        code, out, _ = run(capsys, *_zeros_argv(params, nu, window))
+        assert code in (0, 1, 2, 64), (params, nu, window)
+        if code == 0:
+            assert set(json.loads(out)) == {"line", "window", "zeros",
+                                            "in_exceptional_set"}
+        codes.append(code)
+    assert codes[:3] == [0, 0, 0]

@@ -1,6 +1,7 @@
 """Factorization plans, route agreement, representation route, bilinearity."""
 
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -28,6 +29,7 @@ from foxh import (
     laplace_mod,
     log_gamma,
     plan_factorization,
+    transpose_params,
     validate_params,
     verify_plan_symbol,
 )
@@ -336,6 +338,47 @@ def test_plan_route_bessel_is_hankel_transform():
     assert np.max(np.abs(m.values - p.values) / np.abs(m.values)) < 1e-5
     # classical reduction: this kernel transform of e^-t is e^-x
     assert np.max(np.abs(m.values - np.exp(-XS))) < 1e-8
+
+
+def test_plan_route_ek_left_chain_agrees_with_mellin():
+    # case 2 with m = 0 anchors on the upper strip edge: the chain ends in
+    # the left Erdelyi-Kober operator
+    params = transpose_params(canonical_params(2)[0])
+    plan = plan_factorization(params, 0.5, 2.0)
+    assert plan.chain[-1].kind == "ek-left"
+    xs = np.array([0.5, 1.3, 3.0])
+    m = htransform_mellin(params, F_TEXP, xs, SpaceSpec(0.5, 2.0))
+    p = apply_plan(plan, F_TEXP, xs)
+    assert np.max(np.abs(m.values - p.values) / np.abs(m.values)) < 1e-5
+
+
+_CANONICAL_OPS = {
+    1: ["reflect", "multiplier", "dilate"],
+    2: ["reflect", "multiplier", "dilate", "ek-right"],
+    3: ["multiplier", "power-weight", "hankel", "power-weight", "dilate"],
+    4: ["reflect", "multiplier", "power-weight", "hankel", "power-weight",
+        "dilate", "reflect"],
+    5: ["reflect", "multiplier", "laplace", "laplace", "dilate"],
+    6: ["reflect", "multiplier", "reflect", "laplace", "dilate"],
+    7: ["reflect", "reflect", "multiplier", "reflect", "laplace", "dilate",
+        "reflect"],
+    8: ["reflect", "multiplier", "power-weight", "laplace", "hankel",
+        "power-weight", "dilate"],
+    9: ["reflect", "reflect", "multiplier", "power-weight", "laplace", "hankel",
+        "power-weight", "dilate", "reflect"],
+}
+
+
+def test_plan_json_names_every_op():
+    plans = [(plan_factorization(*canonical_params(case)), _CANONICAL_OPS[case])
+             for case in range(1, 10)]
+    plans.append((plan_factorization(transpose_params(canonical_params(2)[0]),
+                                     0.5, 2.0),
+                  ["reflect", "multiplier", "dilate", "ek-left"]))
+    for plan, ops in plans:
+        blob = json.loads(json.dumps(plan.to_json()))
+        assert [step["op"] for step in blob["chain"]] == ops
+        assert blob["case"] == plan.case_label
 
 
 def test_nu_independence():

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,7 +21,14 @@ from foxh import (
 )
 from foxh.gammasym import AsymptoticEstimate
 
-from conftest import canonical_params, gamma_abs_half_line, random_params
+from conftest import (
+    EDGE_ZERO_K,
+    SQUARE_K,
+    canonical_params,
+    gamma_abs_half_line,
+    line_in_strip,
+    random_params,
+)
 
 
 EXP = validate_params(1, 0, 0, 1, [], [(0.0, 1.0)])
@@ -283,6 +291,15 @@ def test_zero_probe_counts_match_structure(rng):
     )
 
 
+def test_zero_probe_cancelled_poles_are_not_zeros():
+    # Gamma(1+s)/Gamma(s) = s: the poles of Gamma(s) at -1, -2, ... are
+    # cancelled upstairs, so Re s = -1 and Re s = -2 carry neither zero nor pole
+    p = validate_params(1, 0, 1, 1, [(0.0, 1.0)], [(1.0, 1.0)])
+    for nu in (2.0, 3.0):
+        rep = find_zeros_on_line(symbol_from_params(p), nu, 5.0)
+        assert rep.zeros == () and not rep.in_exceptional_set
+
+
 def test_zero_probe_pole_on_line_rejected():
     # Gamma(s - 1/2) has a pole at s = 1/2; probing that line must refuse
     sym = GammaSymbol(num=((-0.5 + 0j, 1.0),))
@@ -297,3 +314,65 @@ def test_zero_report_json():
     assert blob["in_exceptional_set"] is True
     assert blob["zeros"][0]["mult"] == 1
     assert set(blob) == {"line", "window", "zeros", "in_exceptional_set"}
+
+
+# the three kernels of conftest.ZERO_PROBE_CASES
+
+def test_zero_probe_double_zero_on_line():
+    rep = find_zeros_on_line(symbol_from_params(SQUARE_K), 1.0, 5.0,
+                             strip=(-1.0, math.inf))
+    assert rep.zeros == ((0j, 2),)
+    assert rep.in_exceptional_set
+
+
+def test_zero_probe_two_close_simple_zeros():
+    # 1 / (Gamma(s) Gamma(0.2 + s)) vanishes at 0 and -0.2, both near Re s = 0
+    sym = GammaSymbol(den=((0j, 1.0), (0.2 + 0j, 1.0)))
+    rep = find_zeros_on_line(sym, 1.0, 5.0)
+    assert rep.zeros == ((-0.2 + 0j, 1), (0j, 1))
+    assert rep.in_exceptional_set
+
+
+def test_zero_probe_zero_just_inside_the_box():
+    # the zero lies 7e-4 inside the box edge |Re s - line| = 1/4
+    rep = find_zeros_on_line(symbol_from_params(EDGE_ZERO_K), -2.3032431408038985,
+                             5.0, strip=(0.8720495321783714, math.inf))
+    assert len(rep.zeros) == 1
+    z, mult = rep.zeros[0]
+    assert abs(z - (3.5526 - 0.3465j)) < 1e-4 and mult == 1
+    assert 0.249 < abs(z.real - rep.line) < 0.25
+    assert not rep.in_exceptional_set
+
+
+def _mp_kernel_symbol(p, s):
+    """The kernel's Mellin symbol at s from mpmath's gamma and rgamma."""
+    s = mpmath.mpc(s)
+    val = mpmath.mpf(1)
+    for c, w in p.lower[: p.m]:
+        val *= mpmath.gamma(c + w * s)
+    for c, w in p.upper[: p.n]:
+        val *= mpmath.gamma(1 - c - w * s)
+    for c, w in p.upper[p.n:]:
+        val *= mpmath.rgamma(c + w * s)
+    for c, w in p.lower[p.m:]:
+        val *= mpmath.rgamma(1 - c - w * s)
+    return val
+
+
+def test_zero_probe_zeros_and_orders_vs_mpmath(rng):
+    # a zero of order m makes |symbol(z + eps)| / eps^m tend to a nonzero
+    # constant; a wrong location or order moves the ratio tenfold
+    checked = 0
+    for _ in range(60):
+        p = random_params(rng)
+        inv = derive_invariants(p)
+        if not inv.alpha_low < inv.beta_high:
+            continue
+        rep = find_zeros_on_line(symbol_from_params(p), 1.0 - line_in_strip(rng, inv),
+                                 10.0, strip=(inv.alpha_low, inv.beta_high))
+        for z, m in rep.zeros:
+            r4, r5 = (abs(_mp_kernel_symbol(p, z + eps)) / eps ** m
+                      for eps in (1e-4, 1e-5))
+            assert abs(r4 / r5 - 1.0) < 0.1, (p, z, m)
+            checked += 1
+    assert checked >= 10
