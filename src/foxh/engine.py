@@ -140,18 +140,21 @@ class LogGrid(LiveFunction):
 
 
 def tabulate(live: LiveFunction, *, h: float = _TABLE_STEP,
-             floor: float = 1e-17) -> LogGrid:
+             floor: float = 1e-17, weight: float = 0.0) -> LogGrid:
     """Sample a function on a log-uniform grid, as a LogGrid.
 
     The grid is the window of live's Support record where |live| exceeds
-    floor times its side's peak, widened by _TABLE_MARGIN; outside it the
-    table returns zero.  A function that vanishes gives an empty grid.
+    floor times its side's peak, joined with the window where
+    |live| e^(weight tau) does (the weight a consuming step puts on the
+    tails), widened by _TABLE_MARGIN; outside it the table returns zero.
+    A function that vanishes gives an empty grid.
     """
-    win = support_of(live).window(0.0, floor)
-    if win is None:
+    rec = support_of(live)
+    wins = [w for w in (rec.window(0.0, floor), rec.window(weight, floor)) if w is not None]
+    if not wins:
         return LogGrid(np.zeros(0), np.zeros(0, dtype=complex), h, -np.inf, live.nu)
-    t_lo = win[0] - _TABLE_MARGIN
-    t_hi = win[1] + _TABLE_MARGIN
+    t_lo = min(w[0] for w in wins) - _TABLE_MARGIN
+    t_hi = max(w[1] for w in wins) + _TABLE_MARGIN
     # as many points as np.arange(t_lo, t_hi + h, h), but placed exactly at
     # t_lo + i h, where the interpolant looks for them
     taus = t_lo + h * np.arange(math.ceil((t_hi + h - t_lo) / h))
@@ -169,15 +172,16 @@ _LAPLACE_ROWS = 64
 
 
 def _laplace_on_grid(kappa: float, alpha, grid: LogGrid, nu: float) -> LiveFunction:
-    """laplace_mod(kappa, alpha, grid, .) as a trapezoid sum on grid's lattice.
+    """The modified Laplace transform of grid as a trapezoid sum on its lattice.
 
-    With tau = log x + t, laplace_mod's integrand is w(log x + t) f(e^t) / x,
-    w(s) = exp((1 - alpha) s - |kappa| e^(s/kappa)), so on the lattice
-    t = taus[i] the value is (h / x) sum_i w(log x + taus[i]) values[i]:
-    nothing is interpolated.  |w| is one real exponent, non-finite entries
-    0 as in laplace_mod; the phase e^(i Im(1 - alpha) s) of w splits into
-    one factor per x and one per sample, so no complex exponent is taken
-    per entry.
+    The transform is the integral of u^{-alpha} e^{-|kappa| u^{1/kappa}}
+    f(u/x) / x over u > 0.  In tau = log u = log x + t its integrand is
+    w(log x + t) f(e^t) / x, w(s) = exp((1 - alpha) s - |kappa| e^(s/kappa)),
+    so on the lattice t = taus[i] the value is
+    (h / x) sum_i w(log x + taus[i]) values[i]: nothing is interpolated.
+    |w| is one real exponent, non-finite entries 0; the phase
+    e^(i Im(1 - alpha) s) of w splits into one factor per x and one per
+    sample, so no complex exponent is taken per entry.
     """
     a1 = 1.0 - complex(alpha)
     re_a, im_a, ak = a1.real, a1.imag, abs(kappa)
@@ -444,13 +448,17 @@ class LaplaceOp:
     """Modified Laplace transform of index kappa and offset alpha.
 
     apply tabulates its input and sums on the table's own lattice
-    (_laplace_on_grid), with no interpolation and no sweep per x;
-    classical.laplace_mod is the pointwise form it is checked against.
+    (_laplace_on_grid), with no interpolation and no sweep per x; it is the
+    one Laplace implementation, classical.laplace_mod calls it.
     """
 
     index: float  # kappa
     offset: complex  # alpha
     kind: str = field(default="laplace", init=False)
+
+    def __post_init__(self):
+        if self.index == 0:
+            raise HypothesisError("kappa != 0")
 
     def mellin_action(self):
         # Gamma(z) |kappa|^(1 - z), z = kappa (s - alpha), on the reflected
@@ -473,7 +481,10 @@ class LaplaceOp:
         # sum errs like exp(-pi^2 |kappa| / h): h <= |kappa| / 4 makes that
         # exp(-4 pi^2), about 7e-18
         h = min(_TABLE_STEP, abs(self.index) / 4.0)
-        return _laplace_on_grid(self.index, self.offset, tabulate(live, h=h),
+        # on the side it does not cut off, the weight goes like
+        # e^((1 - Re alpha) t), so the table also covers f's tail there
+        weight = 1.0 - complex(self.offset).real
+        return _laplace_on_grid(self.index, self.offset, tabulate(live, h=h, weight=weight),
                                 _out_weight(self, live.nu))
 
     def describe(self):

@@ -27,7 +27,7 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
-from .gammasym import symbol_from_params
+from .gammasym import AsymptoticEstimate, symbol_from_params
 from .params import HParams, Invariants, derive_invariants
 from .quadrature import NODE_BUDGET, LineRule, refine_line
 
@@ -61,15 +61,15 @@ class EvalResult:
 def _tail_bound(inv: Invariants, gamma: float, T: float) -> float:
     """Upper bound on the neglected |Im s| > T part of the contour integral.
 
-    Uses the magnitude envelope K |t|^rho exp(-c |t|): for c > 0 the bound
+    Uses the magnitude envelope K |t|^rho exp(-c |t|) of AsymptoticEstimate,
+    its sign term bounded on both sides: for c > 0 the bound
     t^rho <= T^rho e^{rho (t-T)/T} (rho >= 0) or T^rho (rho < 0) gives a
     closed form; for c = 0 the algebraic tail integrates exactly.
     """
-    K = inv.stirling_front * inv.delta ** gamma * math.exp(
-        abs(inv.xi.imag) * math.pi / 2.0
-    )
-    rho = inv.delta_cap * gamma + inv.mu.real
-    c = math.pi * inv.a_star / 2.0
+    env = AsymptoticEstimate.from_invariants(inv)
+    K = env.front * env.delta ** gamma * math.exp(abs(env.sign_coeff))
+    rho = env.algebraic_slope * gamma + env.algebraic_const
+    c = -env.exp_rate
     if c > 0:
         if rho >= 0:
             denom = c - rho / T

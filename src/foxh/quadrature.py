@@ -5,11 +5,7 @@ t = exp(tau), which turns both endpoint behaviours of the weighted-space
 integrands into exponential decay in tau.  The resulting line integrals are
 handled by the trapezoidal rule with automatic range expansion and nested
 step halving (spectrally accurate for integrands analytic in a strip around
-the real tau axis).  An integrand may be vector-valued, one column per
-output (say one per argument x of a transform): all columns share the tau
-lattice and each column stops sweeping outward and stops halving on its own
-tests, so one sweep serves a block of outputs with the values that separate
-scalar calls would give.
+the real tau axis).
 
 Finite panels use composite Gauss-Legendre, among them the vertical line of
 every inverse Mellin transform (LineRule, refined by refine_line);
@@ -160,89 +156,64 @@ def refine_line(F, gamma: float, T: float, logx, nodes_per_unit: int, tol: float
     return fine, np.abs(fine - coarse)
 
 
-def _sweep(g, spacing: float, offset: float, center: float, tol: float, live=None):
-    """Column sums of g over {center +- (offset + spacing*k), k >= 0}, times spacing.
+def _sweep(g, spacing: float, offset: float, center: float, tol: float):
+    """Sum of g over {center +- (offset + spacing*k), k >= 0}, times spacing.
 
-    g(taus) has shape (n,) or (n, ncols); a 1-D result is one column.  The
-    result has one entry per column.  Only the columns flagged in live (all
-    when None) are summed, and each stops on its own decay test; the others
-    stay 0.  Returns (sums, one_d), one_d telling whether g is 1-D.  For
-    offset == 0 the k=0 lattice point appears in both directions and is
-    counted once; for offset > 0 the two directions interleave without
-    overlap (together they tile the shifted lattice center +
-    offset + k*spacing).
+    Sweeps outward in blocks until the block maximum is negligible against
+    the largest sample seen.  For offset == 0 the k=0 lattice point appears
+    in both directions and is counted once; for offset > 0 the two
+    directions interleave without overlap (together they tile the shifted
+    lattice center + offset + k*spacing).
     """
-    total = scale = amax = going = None
+    total, scale, amax = 0j, 0.0, 0.0
     k0 = 0
     while spacing * k0 < _MAX_SPAN:
         idx = np.arange(k0, k0 + _BLOCK)
         taus = np.concatenate(
             [center + offset + spacing * idx, center - offset - spacing * idx]
         )
-        vals = np.asarray(g(taus), dtype=complex)
-        one_d = vals.ndim == 1
-        vals = vals.reshape(taus.size, -1).T
-        if going is None:
-            total = np.zeros(vals.shape[0], dtype=complex)
-            scale = np.zeros(vals.shape[0])
-            amax = np.zeros(vals.shape[0])
-            going = np.ones(vals.shape[0], dtype=bool) if live is None else live.copy()
-        # one contiguous row per summed column, so each row sums exactly
-        # as a 1-D integrand would
-        vals = vals[going]
+        vals = np.array(g(taus), dtype=complex)
         if k0 == 0 and offset == 0.0:
-            vals[:, _BLOCK] = 0.0
+            vals[_BLOCK] = 0.0
         if not np.all(np.isfinite(vals)):
             raise DivergentIntegralError("integrand overflow on the line")
-        total[going] += vals.sum(axis=1) * spacing
-        amax[going] = np.max(np.abs(vals), axis=1)
-        scale[going] = np.maximum(scale[going], amax[going])
+        total += vals.sum() * spacing
+        amax = np.max(np.abs(vals))
+        scale = max(scale, amax)
         # never conclude before any mass has been seen: the support may sit
         # far from the expansion center
-        if k0 > 0:
-            going &= ~((scale > 0.0) & (amax * spacing <= tol * scale * spacing * 1e-2))
-            if not going.any():
-                return total, one_d
+        if k0 > 0 and scale > 0.0 and amax * spacing <= tol * scale * spacing * 1e-2:
+            return total
         k0 += _BLOCK
-    # columns identically zero on the whole span are done; for the others,
+    # an integrand identically zero on the whole span is done; otherwise
     # running out of range means divergence or budget exhaustion
-    going &= scale > 0.0
-    if np.any(amax[going] > 1e-8 * scale[going]):
+    if scale == 0.0:
+        return total
+    if amax > 1e-8 * scale:
         raise DivergentIntegralError("integrand does not decay on the line")
-    if going.any():
-        raise NumericalError("line quadrature range budget exhausted")
-    return total, one_d
+    raise NumericalError("line quadrature range budget exhausted")
 
 
 def trapezoid_line(g, *, tol: float = 1e-12, center: float = 0.0):
     """Integrate vectorized g over the whole real line by trapezoid sums.
 
     g must decay at least exponentially in both directions.  Step halving
-    reuses previous lattice points.  g(taus) may return shape (n,) or
-    (n, ncols); each column is integrated on its own, with the stopping
-    rules of a 1-D integrand: it stops sweeping outward at its own decay,
-    stops halving once its own estimate meets tol * max(1, |value|), and
-    raises the same errors.  A finished column is frozen, so its value
-    equals that of a 1-D call on that column alone.  Returns
-    (value, error_estimate): a complex and a float for a 1-D g, arrays of
-    shape (ncols,) otherwise.
+    reuses previous lattice points and stops once two estimates agree to
+    tol * max(1, |value|).  Returns (value, error_estimate) as a complex and
+    a float.
     """
     h = _STEP
-    value, one_d = _sweep(g, h, 0.0, center, tol)
-    err = np.full(value.shape, math.inf)
-    live = np.ones(value.shape, dtype=bool)
+    value = _sweep(g, h, 0.0, center, tol)
+    err = math.inf
     for _ in range(_MAX_HALVINGS):
-        fill, _ = _sweep(g, h, 0.5 * h, center, tol, live)
+        fill = _sweep(g, h, 0.5 * h, center, tol)
         refined = 0.5 * value + 0.5 * fill
-        err[live] = np.abs(refined - value)[live]
-        value[live] = refined[live]
+        err = np.abs(refined - value)
+        value = refined
         h *= 0.5
-        live &= ~(err <= tol * np.maximum(1.0, np.abs(value)))
-        if not live.any():
+        if err <= tol * np.maximum(1.0, np.abs(value)):
             break
-    if one_d:
-        return complex(value[0]), float(err[0])
-    return value, err
+    return complex(value), float(err)
 
 
 def wynn_epsilon(partial_sums):

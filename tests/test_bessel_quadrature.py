@@ -82,36 +82,29 @@ def test_trapezoid_line_gaussian():
     assert abs(val - math.sqrt(math.pi)) < 1e-12
 
 
-def _columns(t):
-    # supports centred from -200 to 150, decay lengths from 0.05 to 10
-    return np.stack([
-        np.exp(-t * t),
-        np.exp(-(t + 200.0) ** 2 / 0.05),
-        np.exp(-(t - 150.0) ** 2 / 400.0) * np.exp(0.3j * t),
-        1.0 / np.cosh(t / 10.0),
-        np.exp(-np.abs(t - 3.0)) * (1.0 + 2.0j),
-    ], axis=1)
+# supports centred from -200 to 150, decay lengths from 0.05 to 10, and a
+# kink on the lattice, where the sums converge only like h^2
+@pytest.mark.parametrize("g, exact, atol", [
+    (lambda t: np.exp(-(t + 200.0) ** 2 / 0.05), math.sqrt(0.05 * math.pi), 1e-12),
+    (lambda t: np.exp(-(t - 150.0) ** 2 / 400.0) * np.exp(0.3j * t),
+     math.sqrt(400.0 * math.pi) * math.exp(-9.0) * complex(math.cos(45.0), math.sin(45.0)),
+     1e-12),
+    (lambda t: 1.0 / np.cosh(t / 10.0), 10.0 * math.pi, 1e-9),
+    (lambda t: np.exp(-np.abs(t - 3.0)) * (1.0 + 2.0j), 2.0 + 4.0j, 1e-3),
+], ids=["narrow-at-minus-200", "wide-oscillating-at-150", "sech", "kink"])
+def test_trapezoid_line_closed_forms(g, exact, atol):
+    val, err = trapezoid_line(g, tol=1e-12)
+    assert abs(val - exact) < atol
+    assert abs(val - exact) <= max(err, 1e-13)
 
 
-def test_trapezoid_line_columns_equal_scalar_calls():
-    vals, errs = trapezoid_line(_columns, tol=1e-12)
-    assert vals.shape == errs.shape == (5,)
-    for j in range(5):
-        val, err = trapezoid_line(lambda t, j=j: _columns(t)[:, j], tol=1e-12)
-        assert vals[j] == val and errs[j] == err
-    assert abs(vals[0] - math.sqrt(math.pi)) < 1e-12
-    assert abs(vals[3] - 10.0 * math.pi) < 1e-9
+def test_trapezoid_line_zero_integrand():
+    assert trapezoid_line(lambda t: np.zeros_like(t))[0] == 0.0
 
 
-def test_trapezoid_line_zero_column():
-    vals, _ = trapezoid_line(lambda t: np.stack([np.zeros_like(t), np.exp(-t * t)], axis=1))
-    assert vals[0] == 0.0
-    assert abs(vals[1] - math.sqrt(math.pi)) < 1e-12
-
-
-def test_trapezoid_line_non_decaying_column_raises():
+def test_trapezoid_line_non_decaying_integrand_raises():
     with pytest.raises(DivergentIntegralError):
-        trapezoid_line(lambda t: np.stack([np.exp(-t * t), np.ones_like(t)], axis=1))
+        trapezoid_line(lambda t: np.ones_like(t))
 
 
 def test_trapezoid_line_one_d_returns_scalars():

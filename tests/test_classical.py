@@ -520,15 +520,31 @@ def test_laplace_array_matches_closed_form():
     assert np.max(np.abs(val - 1.0 / (1.0 + x))) < 1e-11
 
 
-@pytest.mark.parametrize("kappa", [1.0, -1.0])
-def test_laplace_array_equals_scalar_calls(kappa):
-    # one column-wise sweep per block of x gives each x its scalar value exactly
-    alpha = 0.3 + 0.7j
-    f = TestFunction.power_exp(0.5, 1.2)
+def _laplace_power_exp(kappa, alpha, c, b, x):
+    # f = t^c e^{-b t}: the u-integral of u^{c - alpha} e^{-|k| u^{1/k} - b u / x}
+    # over x^{c + 1} is a Gamma function for kappa = 1 and a Bessel K one
+    # for kappa = -1, both of order n = c + 1 - alpha
+    n = c + 1.0 - alpha
+    if kappa == 1.0:
+        return np.exp(log_gamma(n)) * (1.0 + b / x) ** (-n) * x ** (-c - 1.0)
+    return np.array([complex(2.0 * mpmath.mpf(xi / b) ** (n / 2)
+                             * mpmath.besselk(n, 2.0 * mpmath.sqrt(b / xi)))
+                     for xi in x]) * x ** (-c - 1.0)
+
+
+@pytest.mark.parametrize("kappa, alpha, c, b", [
+    (1.0, 0.3 + 0.7j, 0.5, 1.2),
+    (-1.0, 0.3 + 0.7j, 0.5, 1.2),
+    # Re alpha near 2: the lower tail of f carries the integral
+    (1.0, 1.9, 1.0, 1.0),
+    (1.0, 1.9 - 1.3j, 1.0, 1.0),
+], ids=["gamma", "bessel-k", "gamma-alpha-1.9", "gamma-alpha-1.9-1.3i"])
+def test_laplace_matches_gamma_and_bessel_k_forms(kappa, alpha, c, b):
+    f = TestFunction.power_exp(c, b)
     x = np.exp(np.linspace(-30.0, 30.0, 200))
-    batch = laplace_mod(kappa, alpha, f, x)
-    single = np.array([laplace_mod(kappa, alpha, f, float(xv)) for xv in x])
-    assert np.array_equal(batch, single)
+    val = laplace_mod(kappa, alpha, f, x)
+    ref = _laplace_power_exp(kappa, alpha, c, b, x)
+    assert np.max(np.abs(val - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_laplace_mellin_identity_spot():

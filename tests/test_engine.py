@@ -453,51 +453,71 @@ def test_tabulate_lattice_points_sit_where_the_interpolant_reads_them():
 _TEXP_LIVE = LiveFunction(lambda t: t * np.exp(-t), 0.5, cost=1)
 
 
+def _laplace_texp_by_quad(kappa, alpha, x):
+    # the modified Laplace transform of f = t e^{-t} by adaptive quadrature
+    # over the whole tau = log u line, split where the weight and the input
+    # turn over: for kappa > 0 the integrand falls only like
+    # e^{(2 - Re alpha) tau} as tau -> -inf, so no finite cut is safe.  The
+    # integrand is one complex exponent; a part (real or imaginary) that
+    # cancels to far below the integral of |g| is taken to 1e-14 of that
+    # integral, not to 1e-13 of itself, which roundoff would prevent.
+    a1, ak, logx = 2.0 - alpha, abs(kappa), math.log(x)
+
+    def g(tau):
+        # exponents past 700 only ever drive the integrand to 0
+        e = (a1 * tau - 2.0 * logx - ak * math.exp(min(tau / kappa, 700.0))
+             - math.exp(min(tau - logx, 700.0)))
+        return complex(np.exp(e)) if e.real > -745.0 else 0j
+
+    cuts = [-math.inf] + sorted([0.0, logx]) + [math.inf]
+    pieces = list(zip(cuts[:-1], cuts[1:]))
+    mag = sum(quad(lambda t: abs(g(t)), lo, hi, limit=400)[0] for lo, hi in pieces)
+    return sum(quad(g, lo, hi, limit=400, epsabs=1e-14 * mag, epsrel=1e-13,
+                    complex_func=True)[0] for lo, hi in pieces)
+
+
 @settings(max_examples=40, deadline=None)
 @given(kappa=st.floats(0.25, 2.0), negative=st.booleans(),
-       re_alpha=st.floats(-1.0, 1.0), im_alpha=st.sampled_from([0.0, -1.3, 0.4, 2.0]),
+       re_alpha=st.floats(-1.0, 1.9), im_alpha=st.sampled_from([0.0, -1.3, 0.4, 2.0]),
        logx=st.lists(st.floats(-5.0, 5.0), max_size=4))
 def test_laplace_grid_sum_matches_pointwise_oracle(kappa, negative, re_alpha, im_alpha,
                                                    logx):
-    # a costly input is summed on its table's lattice; laplace_mod samples
-    # the input itself.  Re alpha <= 1 keeps the integrand (like
-    # e^{(2 - Re alpha) tau} toward tau -> -inf for kappa > 0) negligible
-    # where the table stops, 1e-17 of the input's peak.  The drawn x join a
-    # fixed spread over e^-5..e^5, which sets the scale max|value|.
+    # a costly input is summed on its table's lattice.  For kappa > 0 and
+    # Re alpha > 1 the weight grows toward tau -> -inf, so the table must
+    # reach below where |f| alone falls to 1e-17 of its peak.  The drawn x
+    # join a fixed spread over e^-5..e^5, which sets the scale max|value|.
     kappa = -kappa if negative else kappa
     alpha = complex(re_alpha, im_alpha)
     x = np.exp(np.concatenate([np.linspace(-5.0, 5.0, 9), logx]))
     grid = LaplaceOp(kappa, alpha).apply(_TEXP_LIVE)(x)
-    oracle = laplace_mod(kappa, alpha, _TEXP_LIVE, x)
-    assert np.max(np.abs(grid - oracle)) <= 1e-12 * np.max(np.abs(oracle))
-
-
-def _laplace_by_quad(kappa, alpha, f, x):
-    # laplace_mod's tau integral by adaptive quadrature, split where the
-    # weight and the input turn over
-    def g(tau):
-        with np.errstate(over="ignore"):
-            v = np.exp((1.0 - alpha) * tau - abs(kappa) * np.exp(tau / kappa))
-        return complex(v * f(np.exp(tau) / x)[0] / x) if np.isfinite(v) else 0.0
-
-    return quad(g, -60.0, 60.0, points=sorted([0.0, math.log(x)]), limit=400,
-                epsabs=0.0, epsrel=1e-13, complex_func=True)[0]
+    ref = np.array([_laplace_texp_by_quad(kappa, alpha, xi) for xi in x])
+    assert np.max(np.abs(grid - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @settings(max_examples=12, deadline=None)
 @given(kappa=st.floats(0.05, 0.25), negative=st.booleans(),
-       re_alpha=st.floats(-1.0, 1.0), im_alpha=st.sampled_from([0.0, -1.3, 0.4]))
+       re_alpha=st.floats(-1.0, 1.9), im_alpha=st.sampled_from([0.0, -1.3, 0.4]))
 def test_laplace_grid_sum_small_kappa_matches_quadrature(kappa, negative, re_alpha,
                                                          im_alpha):
     # the weight cuts off over a width ~|kappa| in tau, so the lattice must
-    # refine with |kappa|; laplace_mod stops halving at 1/32 and is no
-    # oracle here, so the reference is adaptive quadrature
+    # refine with |kappa|
     kappa = -kappa if negative else kappa
     alpha = complex(re_alpha, im_alpha)
     x = np.exp(np.linspace(-5.0, 5.0, 5))
     grid = LaplaceOp(kappa, alpha).apply(_TEXP_LIVE)(x)
-    ref = np.array([_laplace_by_quad(kappa, alpha, _TEXP_LIVE, xi) for xi in x])
+    ref = np.array([_laplace_texp_by_quad(kappa, alpha, xi) for xi in x])
     assert np.max(np.abs(grid - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_laplace_index_zero_and_nonpositive_argument_raise():
+    with pytest.raises(HypothesisError, match="kappa != 0"):
+        LaplaceOp(0.0, 0.3)
+    with pytest.raises(HypothesisError, match="kappa != 0"):
+        laplace_mod(0.0, 0.3, F_TEXP, 1.0)
+    with pytest.raises(ParameterError, match="positive"):
+        laplace_mod(1.0, 0.3, F_TEXP, np.array([1.0, 0.0]))
+    with pytest.raises(ParameterError, match="positive"):
+        laplace_mod(-1.0, 0.3, F_TEXP, -2.0)
 
 
 def test_laplace_grid_sum_memory_stays_below_dense_matrix():
