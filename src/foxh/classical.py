@@ -482,6 +482,9 @@ _EK_MAX_PANELS = 480
 # a geometric tail whose measured decay per unit panel is below this cannot
 # be told from a non-decaying one at double precision
 _EK_MIN_RATE = 1e-6
+# arguments per block: the outer tail's temporaries are rows x panels x 12
+# complex nodes, so 32 rows by up to _EK_MAX_PANELS panels stay near 3 MB
+_EK_ROWS = 32
 
 
 def _ek_panel_sums(side: str, alpha, sigma: float, eta, f, tau_s: np.ndarray,
@@ -512,15 +515,15 @@ def _ek_panel_sums(side: str, alpha, sigma: float, eta, f, tau_s: np.ndarray,
     # along each row, so only the leading columns need it
     lead = int(np.count_nonzero(
         lu_col + np.max(lu_row) > math.log(1e-17 / max(abs(alpha - 1.0), 1e-280))))
+    # the smooth factor becomes the integrand in place
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        smooth = sigma * np.multiply.outer(np.exp(power * lu_row),
-                                           np.exp(power * lu_col))
+        vals = np.multiply.outer(np.exp(power * lu_row), np.exp(power * lu_col))
+        vals *= sigma
         u = np.minimum(np.multiply.outer(np.exp(lu_row), np.exp(lu_col[:lead])), 0.5)
-        smooth[:, :lead] *= np.exp((alpha - 1.0) * np.log1p(-u))
-        t = np.multiply.outer(np.exp(tau_s), np.exp(nodes))
-        fv = np.asarray(f(t.ravel()), dtype=complex).reshape(t.shape)
-        vals = fv * smooth
-    vals = np.where(np.isfinite(vals), vals, 0.0)
+        vals[:, :lead] *= np.exp((alpha - 1.0) * np.log1p(-u))
+        fv = np.asarray(f(np.multiply.outer(np.exp(tau_s), np.exp(nodes)).ravel()))
+        np.multiply(fv.reshape(vals.shape), vals, out=vals)
+    vals[~np.isfinite(vals)] = 0.0
     return vals.reshape(tau_s.size, stop - first, xg.size) @ wg * 0.5
 
 
@@ -655,20 +658,18 @@ def ek_fractional(side: str, alpha, sigma: float, eta, f, x):
         * np.exp(1j * alpha.imag * np.log1p(-u_up))
     )
     t_up = u_up ** power
-    fu = np.asarray(f(np.multiply.outer(t_up, x_arr).ravel()), dtype=complex)
-    fu = fu.reshape(t_up.size, x_arr.size)
-    upper = (w_up * smooth_up) @ fu
 
-    # lower part (0, 1/2]: unit panels in log argument track the decay of f
+    # lower part (0, 1/2]: unit panels in log argument track the decay of f.
+    # Both parts run on _EK_ROWS arguments at a time, so no temporary grows
+    # with len(x) and a block sums only as many panels as its rows reach.
     edges = support_of(f).edges()
-    lower = np.empty(x_arr.size, dtype=complex)
-    chunk = 512
-    for k0 in range(0, x_arr.size, chunk):
-        sl = slice(k0, min(k0 + chunk, x_arr.size))
-        lower[sl] = _ek_outer_tail_batch(side, alpha, sigma, eta, f,
-                                         x_arr[sl], edges)
-
-    out = norm * (upper + lower)
+    out = np.empty(x_arr.size, dtype=complex)
+    for k0 in range(0, x_arr.size, _EK_ROWS):
+        xs = x_arr[k0:k0 + _EK_ROWS]
+        fu = np.asarray(f(np.multiply.outer(t_up, xs).ravel()), dtype=complex)
+        upper = (w_up * smooth_up) @ fu.reshape(t_up.size, xs.size)
+        lower = _ek_outer_tail_batch(side, alpha, sigma, eta, f, xs, edges)
+        out[k0:k0 + _EK_ROWS] = norm * (upper + lower)
     return complex(out[0]) if np.ndim(x) == 0 else out
 
 
@@ -680,6 +681,8 @@ def ek_fractional(side: str, alpha, sigma: float, eta, f, x):
 # partial sum _hankel_tails reads), geometric head panels, Gauss-Legendre
 # nodes each
 _N_ARCH, _ARCH_BLOCK, _HEAD_LEVELS, _HANKEL_NODES = 2048, 128, 70, 12
+# arguments per block: an arch block's float temporaries are 0.8 MB each
+_HANKEL_COLS = 64
 # an arch term this small against its running sum settles the sum
 _HANKEL_SETTLE = 1e-3 * 1e-10
 
@@ -725,29 +728,35 @@ def _node_sums(vals, jw):
     return np.matmul(vt, jw.view(float).reshape(*jw.shape, 2)).view(complex)[..., 0]
 
 
+def _decaying_limit(partials):
+    """Limits of decaying alternating partial sums, one per column:
+    wynn_epsilon on the last 44 partials, NaN where it gives no finite value
+    or leaves 3x the spread of the last 8 around the last."""
+    acc, _ = wynn_epsilon(partials[-44:])
+    spread = np.max(np.abs(partials[-8:] - partials[-1]), axis=0)
+    keep = np.isfinite(acc) & (np.abs(acc - partials[-1]) <= 3.0 * spread + 1e-280)
+    return np.where(keep, acc, np.nan)
+
+
 def _hankel_tails(early, late, early_terms, last_term):
-    """Values of unsettled oscillatory sums, one per column.
+    """Values of oscillatory sums that no arch block settled, one per column.
 
     Each column ran all _N_ARCH arches: early and late are its partial sums
     over the first and the last _ARCH_BLOCK arches, early_terms its first
-    _ARCH_BLOCK arch terms and last_term its last.  Each regime is one
-    column-wise wynn_epsilon call; where it gives no finite value, or leaves
-    the bracket of a decaying tail, the last two partials' midpoint stands in.
+    _ARCH_BLOCK arch terms and last_term its last.  A decaying column (last
+    term no larger than its 13th) arrives here only when _decaying_limit
+    gave it no value.  Growing-term columns are accelerated on an early
+    window by one column-wise wynn_epsilon call; where that gives no finite
+    value, and for the decaying columns, the last two partials' midpoint
+    stands in.
     """
     est = 0.5 * (late[-1] + late[-2])
-    decaying = np.abs(last_term) <= np.abs(early_terms[12])
-    if decaying.any():
-        # decaying tail: accelerate the last stretch, limit kept in bracket
-        p = late[:, decaying]
-        acc, _ = wynn_epsilon(p[-44:])
-        spread = np.max(np.abs(p[-8:] - p[-1]), axis=0)
-        keep = np.isfinite(acc) & (np.abs(acc - p[-1]) <= 3.0 * spread + 1e-280)
-        est[decaying] = np.where(keep, acc, est[decaying])
-    if not decaying.all():
+    growing = np.abs(last_term) > np.abs(early_terms[12])
+    if growing.any():
         # growing-term (high-frequency) regime: accelerate an early window,
         # where the alternating series is still smallest
-        acc, _ = wynn_epsilon(early[4:52, ~decaying])
-        est[~decaying] = np.where(np.isfinite(acc), acc, est[~decaying])
+        acc, _ = wynn_epsilon(early[4:52, growing])
+        est[growing] = np.where(np.isfinite(acc), acc, est[growing])
     return est
 
 
@@ -760,9 +769,18 @@ def hankel_mod(kappa: float, eta, f, x):
     it is f(t) sqrt(t), t = e^lv, so no power is taken per entry.  On the
     arches log v = log y - log xi from the cached log y; on the head, where
     y reaches e^-80, log v is the log of the ratio.  Arch sums advance block
-    by block per argument until the integrand's decay settles them; the
-    unsettled tails of a block of arguments are accelerated as alternating
-    series, by one column-wise wynn_epsilon call per regime.
+    by block (_ARCH_BLOCK arches) per argument, and an argument settles
+    after a block when
+
+    - an arch term falls to _HANKEL_SETTLE of its running sum: the partial
+      sum there is its value; or
+    - its tail decays (last term no larger than its 13th arch term) and
+      _decaying_limit's Wynn extrapolation of the block's partials agrees
+      with the one after the previous block to _HANKEL_SETTLE of the running
+      sum: that extrapolation is its value.  After the last block a
+      decaying tail takes its extrapolation without the agreement test.
+
+    Arguments left after all _N_ARCH arches go to _hankel_tails.
     """
     eta = complex(eta)
     if kappa == 0:
@@ -799,8 +817,8 @@ def hankel_mod(kappa: float, eta, f, x):
         return sums / xi
 
     out = np.empty(x_arr.size, dtype=complex)
-    for start in range(0, x_arr.size, 192):
-        sl = slice(start, min(start + 192, x_arr.size))
+    for start in range(0, x_arr.size, _HANKEL_COLS):
+        sl = slice(start, start + _HANKEL_COLS)
         xi, lxi = xi_full[sl], lxi_full[sl]
         block = out[sl]
         # head nodes reach y = e^-80, where log y - log xi would lose 80 ulps
@@ -809,6 +827,7 @@ def hankel_mod(kappa: float, eta, f, x):
             lv_head = np.log(np.divide.outer(y_head, xi))
         acc = group_sums(lv_head, jw_head, xi)[0]
         live = np.arange(xi.size)  # block columns not yet settled
+        prev = np.full(xi.size, np.nan, dtype=complex)  # limits after the previous block
         done = 0
         while done < _N_ARCH and live.size:
             blk = slice(done, done + _ARCH_BLOCK)
@@ -817,14 +836,27 @@ def hankel_mod(kappa: float, eta, f, x):
             partials = acc + np.cumsum(terms, axis=0)
             if done == 0:
                 early, early_terms = partials, terms
+            done += _ARCH_BLOCK
             # a term this small against the running sum settles the sum there
             scale = np.maximum(np.abs(partials[-1]), 1e-280)
             tiny = np.abs(terms) <= _HANKEL_SETTLE * scale
             hit = tiny.any(axis=0)
             block[live[hit]] = partials[np.argmax(tiny[:, hit], axis=0), hit]
-            live, partials, terms = live[~hit], partials[:, ~hit], terms[:, ~hit]
+            # a decaying tail settles where its extrapolated limit stops moving
+            decaying = ~hit & (np.abs(terms[-1]) <= np.abs(early_terms[12, live]))
+            limit = np.full(live.size, np.nan, dtype=complex)
+            if decaying.any():
+                limit[decaying] = _decaying_limit(partials[:, decaying])
+            if done < _N_ARCH:
+                # NaN (no limit now, or none after the previous block) never agrees
+                near = np.abs(limit - prev[live]) <= _HANKEL_SETTLE * scale
+            else:
+                near = np.isfinite(limit)
+            block[live[near]] = limit[near]
+            prev[live] = limit
+            keep = ~(hit | near)
+            live, partials, terms = live[keep], partials[:, keep], terms[:, keep]
             acc = partials[-1]
-            done += _ARCH_BLOCK
         if live.size:
             block[live] = _hankel_tails(early[:, live], partials, early_terms[:, live],
                                         terms[-1])
@@ -860,7 +892,10 @@ def lnur_norm(f, nu: float, r: float) -> float:
     """Norm in the weighted space: (integral of |t^nu f|^r dt/t)^(1/r).
 
     r = inf gives the essential-sup norm (probed on a dense log grid).
-    A divergent integral returns +inf rather than raising.
+    A divergent integral returns +inf rather than raising.  The integral is
+    the Mellin transform of |f|^r at s = r nu: by the adaptive trapezoid rule
+    in tau, or, if f's Support record has a hard edge, by its line sample,
+    which splits there.
     """
     if math.isinf(r):
         taus = np.linspace(-60.0, 60.0, 24001)
@@ -870,15 +905,24 @@ def lnur_norm(f, nu: float, r: float) -> float:
     if r < 1.0:
         raise ParameterError("exponent r must be >= 1")
 
-    def g(tau):
+    def g(tau, weight=nu):
+        """|f(e^tau)|^r e^(r weight tau), 0 where f vanishes."""
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             t = np.exp(tau)
             mags = np.abs(np.asarray(f(t), dtype=complex))
-            out = np.exp(r * (np.log(np.where(mags > 0, mags, 1.0)) + nu * tau))
+            out = np.exp(r * (np.log(np.where(mags > 0, mags, 1.0)) + weight * tau))
         return np.where(mags > 0, out, 0.0)
 
+    hard = support_of(f).hard
     try:
-        value, _ = trapezoid_line(g, tol=1e-12)
+        if hard == (None, None):
+            value, _ = trapezoid_line(g, tol=1e-12)
+        else:
+            def mag(t):
+                return g(np.log(t), 0.0)
+
+            mag.support = Support(mag, hard)
+            value = mellin_line_samples(mag, [r * nu])[0]
     except (DivergentIntegralError, NumericalError):
         return math.inf
     return float(abs(value)) ** (1.0 / r)

@@ -331,6 +331,20 @@ def test_ek_mellin_identities(rng):
                 assert abs(lhs - rhs) < 1e-7 * max(1.0, abs(rhs))
 
 
+@pytest.mark.parametrize("side, draw", [
+    ("left", (0.58, 1.1, 0.8, 0.02, 0.72)),
+    ("right", (0.59, 0.99, 0.7, 0.23, 1.08)),
+])
+def test_ek_array_call_equals_scalar_calls(side, draw):
+    # 77 arguments: more than one row block, and not a whole number of them
+    alpha, sigma, eta, c, p = draw
+    f = TestFunction.power_exp(c, p)
+    x = np.exp(np.linspace(-6.0, 6.0, 77))
+    batch = ek_fractional(side, alpha, sigma, eta, f, x)
+    single = np.array([ek_fractional(side, alpha, sigma, eta, f, float(v)) for v in x])
+    assert np.max(np.abs(batch - single) / np.abs(single)) < 1e-15
+
+
 def test_ek_right_tail_near_strip_edge():
     # the sixth draw of test_ek_mellin_identities at alpha = 1, where the
     # average has a closed form: sigma x^{sigma eta} p^{sigma eta - c}
@@ -504,6 +518,31 @@ def test_hankel_mellin_identity_spot():
     assert abs(lhs - rhs) < 1e-8 * abs(rhs)
 
 
+@pytest.mark.parametrize("eta", [-0.3, 0.0, 0.7, 1.6])
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+def test_hankel_power_exp_closed_form(eta, p):
+    # kappa = 1 on t^(eta + 1/2) e^(-p t): a decaying tail, settled by Wynn
+    x = np.exp(np.linspace(-4.0, 4.0, 161))
+    val = hankel_mod(1.0, eta, TestFunction.power_exp(eta + 0.5, p), x)
+    exact = (np.sqrt(x) * 2.0 * p * (2.0 * x) ** eta * math.gamma(eta + 1.5)
+             / (math.sqrt(math.pi) * (p * p + x * x) ** (eta + 1.5)))
+    assert np.max(np.abs(val - exact)) < 1e-11 * np.max(np.abs(exact))
+
+
+def test_hankel_slow_decay_settles_early():
+    # a slowly decaying tail: its extrapolated limit settles long before
+    # the last arch; summing all 2048 arches takes 533,640 points here
+    f = TestFunction.power_exp(0.25, 0.53)
+    count = [0]
+
+    def counted(t):
+        count[0] += np.size(t)
+        return f(t)
+
+    hankel_mod(0.56, 1.86, counted, np.exp(np.linspace(-2.0, 3.0, 41)))
+    assert count[0] < 200_000
+
+
 # -- Laplace --------------------------------------------------------------------
 
 def test_laplace_exp_examples():
@@ -581,6 +620,12 @@ def test_norm_exp_r2():
 def test_norm_divergent_returns_inf():
     f = TestFunction.trunc_power(-0.5)
     assert lnur_norm(f, 0.0, 2.0) == math.inf
+
+
+@pytest.mark.parametrize("nu, r, exact", [(0.5, 2.0, 1.0), (1.0, 3.0, (1.0 / 3.0) ** (1.0 / 3.0))])
+def test_norm_splits_at_hard_edge(nu, r, exact):
+    # tpow:0 is 1 on (0, 1]: the integral of t^(r nu - 1) there is 1/(r nu)
+    assert abs(lnur_norm(TestFunction.builtin("tpow:0"), nu, r) - exact) < 1e-11
 
 
 def test_norm_ess_sup():
