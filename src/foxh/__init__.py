@@ -30,7 +30,6 @@ from .gammasym import (
     ZeroReport,
     asymptotic_log_derivative,
     asymptotic_magnitude,
-    build_aux_symbol,
     find_zeros_on_line,
     symbol_from_params,
 )

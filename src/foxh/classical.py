@@ -59,8 +59,10 @@ class GridFunction:
         v = np.asarray(self.values, dtype=complex)
         if t.ndim != 1 or t.size < 16:
             raise ParameterError("grid needs at least 16 nodes")
-        if not np.all(np.diff(t) > 0) or t[0] <= 0:
-            raise ParameterError("grid must be positive and strictly increasing")
+        if not np.all(np.diff(t) > 0) or t[0] <= 0 or not math.isfinite(t[-1]):
+            raise ParameterError("grid must be finite, positive and strictly increasing")
+        if v.shape != t.shape:
+            raise ParameterError(f"grid has {t.size} nodes but values of shape {v.shape}")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "values", v)
 
@@ -455,7 +457,7 @@ def _decay_truncation(F, gamma_line: float, tol: float):
 
 
 def mellin_inverse_numeric(F, gamma_line: float, x, *, tol: float = 1e-10):
-    """Inverse Mellin transform along Re s = gamma_line, at positive x.
+    """Inverse Mellin transform along Re s = gamma_line, at finite positive x.
 
     F is a callable on complex arrays (a GammaSymbol's eval also works).
     Truncated where |F| has decayed to tol, refined to an error of tol/2.
@@ -465,8 +467,8 @@ def mellin_inverse_numeric(F, gamma_line: float, x, *, tol: float = 1e-10):
     if isinstance(F, GammaSymbol):
         F = F.eval
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x_arr <= 0):
-        raise ParameterError("inverse Mellin needs positive arguments")
+    if np.any(x_arr <= 0) or not np.all(np.isfinite(x_arr)):
+        raise ParameterError("inverse Mellin needs finite positive arguments")
     T = _decay_truncation(F, gamma_line, tol)
     logx = np.log(x_arr)
     npu = max(10, int(math.ceil(1.5 * float(np.max(np.abs(logx))))))

@@ -254,7 +254,7 @@ def cmd_factorize(args) -> int:
 def cmd_verify(args) -> int:
     params = load_params(args.params)
     plan = plan_factorization(params, args.nu, args.r)
-    residuals = [verify_plan_symbol(plan, params, points=[t]) for t in VERIFY_POINTS]
+    residuals = [verify_plan_symbol(plan, points=[t]) for t in VERIFY_POINTS]
     report = {
         "case": plan.case_label,
         "line": 1.0 - args.nu,

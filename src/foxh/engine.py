@@ -45,7 +45,7 @@ from .errors import (
     ParameterError,
     PoleError,
 )
-from .gammasym import GammaSymbol, build_aux_symbol, symbol_from_params
+from .gammasym import GammaSymbol, symbol_from_params
 from .mellin_barnes import kernel_evaluator
 from .params import (
     HParams,
@@ -550,7 +550,17 @@ def _dry_run_spaces(chain, nu, r):
 
 
 def plan_factorization(params: HParams, nu: float, r: float) -> FactorizationPlan:
-    """Build the case factorization of the transform for the space (nu, r)."""
+    """Build the case factorization of the transform for the space (nu, r).
+
+    Each case's chain wraps one Multiplier, and that multiplier's symbol
+    (the plan's aux_symbol) is the case's auxiliary gamma quotient times
+    the kernel symbol, formed in the case's branch beside the operators
+    around it.  chain_params records the free constants the branch chose
+    (k and the anchored edge in case 2, eta in case 3, omega in cases 5-6,
+    eta, zeta and omega in case 8) for to_json.  The mirrored cases 4, 7
+    and 9 are the partner plan (3, 6, 8) of the reciprocal kernel between
+    two reflections, and keep its aux_symbol and chain_params.
+    """
     inv = derive_invariants(params)
     case = classify_case(inv)
     if not (1.0 < r < math.inf):
@@ -570,7 +580,7 @@ def plan_factorization(params: HParams, nu: float, r: float) -> FactorizationPla
     cp: dict = {}
 
     if case == 1:
-        aux = build_aux_symbol(params, inv, 1)
+        aux = GammaSymbol.power(delta, 0.0, -1.0) * sym
         chain = (
             Reflect(),
             Multiplier(aux, "balanced-core", (alpha, beta)),
@@ -581,17 +591,20 @@ def plan_factorization(params: HParams, nu: float, r: float) -> FactorizationPla
         if params.m == 0 and params.n == 0:
             raise HypothesisError("m > 0 or n > 0", "no anchored strip edge")
         cp["k"] = 1.0
-        cp["branch"] = "lower" if params.m > 0 else "upper"
-        aux = build_aux_symbol(params, inv, 2, cp)
+        if params.m > 0:
+            # Gamma(s - alpha - mu) / Gamma(s - alpha), anchored at alpha
+            cp["branch"] = "lower"
+            aux = GammaSymbol(num=((-mu - alpha, 1.0),), den=((complex(-alpha), 1.0),)) * sym
+            tail = EKRight(-mu, 1.0, -alpha)
+        else:
+            # Gamma(beta - mu - s) / Gamma(beta - s), anchored at beta
+            cp["branch"] = "upper"
+            aux = GammaSymbol(num=((beta - mu, -1.0),), den=((complex(beta), -1.0),)) * sym
+            tail = EKLeft(-mu, 1.0, beta - 1.0)
         mult = Multiplier(
             GammaSymbol.power(delta, 0.0, -1.0) * aux,
             "augmented-balanced-core", (alpha, beta),
         )
-        k = cp["k"]
-        if cp["branch"] == "lower":
-            tail = EKRight(-mu, k, -alpha / k)
-        else:
-            tail = EKLeft(-mu, k, beta / k - 1.0)
         chain = (Reflect(), mult, Dilate(delta), tail)
 
     elif case == 3:
@@ -603,7 +616,13 @@ def plan_factorization(params: HParams, nu: float, r: float) -> FactorizationPla
             )
         eta_c = -inv.delta_cap * alpha - mu - 1.0
         cp["eta"] = eta_c
-        aux = build_aux_symbol(params, inv, 3)
+        pref = GammaSymbol.power(delta, -1.0, 1.0)
+        pref = pref * GammaSymbol.power(a1, mu + inv.delta_cap, -inv.delta_cap)
+        quot = GammaSymbol(
+            num=(((-mu + a1 * (-1.0 - alpha)), a1),),
+            den=(((a1 * (1.0 - alpha)), -a1),),
+        )
+        aux = pref * quot * sym.substitute(1.0, -1.0)
         lo = max(1.0 - beta, alpha + 1.0 + 2.0 * mu.real / inv.delta_cap)
         hi = 1.0 - alpha
         shift = mu / inv.delta_cap + 0.5
@@ -628,42 +647,42 @@ def plan_factorization(params: HParams, nu: float, r: float) -> FactorizationPla
     elif case == 5:
         omega = mu + a1 * alpha - a2 * beta + 1.0
         cp["omega"] = omega
-        aux = build_aux_symbol(params, inv, 5, cp)
-        mult = Multiplier(aux, "double-laplace-core", (alpha, beta))
+        pref = GammaSymbol.power(a1, a1 * (-alpha) - 1.0, a1)
         if omega.real >= 0:
-            chain = (
-                Reflect(), mult,
-                LaplaceOp(a2, 1.0 - beta - omega / a2),
-                LaplaceOp(a1, alpha),
-                Dilate(delta),
-            )
+            pref = pref * GammaSymbol.power(a2, a2 * beta + omega - 1.0, -a2)
+            quot = GammaSymbol(den=((complex(-a1 * alpha), a1),
+                                    (a2 * beta + omega, -a2)))
+            steps = (LaplaceOp(a2, 1.0 - beta - omega / a2), LaplaceOp(a1, alpha))
         else:
-            chain = (
-                Reflect(), mult,
-                LaplaceOp(a2, 1.0 - beta),
-                LaplaceOp(a1, alpha),
-                EKRight(-omega, 1.0 / a1, -a1 * alpha),
-                Dilate(delta),
+            pref = pref * GammaSymbol.power(a2, a2 * beta - 1.0, -a2)
+            quot = GammaSymbol(
+                num=(((-a1 * alpha - omega), a1),),
+                den=((complex(-a1 * alpha), a1), (complex(-a1 * alpha), a1),
+                     (complex(a2 * beta), -a2)),
             )
+            steps = (LaplaceOp(a2, 1.0 - beta), LaplaceOp(a1, alpha),
+                     EKRight(-omega, 1.0 / a1, -a1 * alpha))
+        aux = pref * quot * GammaSymbol.power(delta, 0.0, -1.0) * sym
+        chain = (Reflect(), Multiplier(aux, "double-laplace-core", (alpha, beta)),
+                 *steps, Dilate(delta))
 
     elif case == 6:
         omega = mu + a1 * alpha + 0.5
         cp["omega"] = omega
-        aux = build_aux_symbol(params, inv, 6, cp)
-        mult = Multiplier(aux, "laplace-core", (alpha, beta))
         if omega.real >= 0:
-            chain = (
-                Reflect(), mult, Reflect(),
-                LaplaceOp(a1, alpha - omega / a1),
-                Dilate(delta),
-            )
+            pref = GammaSymbol.power(a1, a1 * (-alpha) + omega - 1.0, a1)
+            quot = GammaSymbol(den=(((-a1 * alpha + omega), a1),))
+            steps = (LaplaceOp(a1, alpha - omega / a1),)
         else:
-            chain = (
-                Reflect(), mult, Reflect(),
-                LaplaceOp(a1, alpha),
-                EKRight(-omega, 1.0 / a1, -a1 * alpha),
-                Dilate(delta),
+            pref = GammaSymbol.power(a1, a1 * (-alpha) - 1.0, a1)
+            quot = GammaSymbol(
+                num=(((-a1 * alpha - omega), a1),),
+                den=((complex(-a1 * alpha), a1), (complex(-a1 * alpha), a1)),
             )
+            steps = (LaplaceOp(a1, alpha), EKRight(-omega, 1.0 / a1, -a1 * alpha))
+        aux = pref * quot * GammaSymbol.power(delta, 0.0, -1.0) * sym
+        chain = (Reflect(), Multiplier(aux, "laplace-core", (alpha, beta)), Reflect(),
+                 *steps, Dilate(delta))
 
     elif case == 8:
         eta_eq = (space.gamma_r + 2.0 * a2 * (nu - 1.0) + mu.real) / a_star
@@ -671,11 +690,18 @@ def plan_factorization(params: HParams, nu: float, r: float) -> FactorizationPla
         zeta = (1.0 - nu) - 0.5
         omega = a_star * eta - mu - 0.5
         cp.update({"eta": eta, "zeta": zeta, "omega": omega})
-        aux = build_aux_symbol(params, inv, 8, cp)
-        mult = Multiplier(aux, "laplace-hankel-core", (alpha, beta))
+        # the symbol takes eta and zeta as complex numbers
+        eta_s, zeta_s = complex(eta), complex(zeta)
+        pref = GammaSymbol.power(a_star, a_star * eta_s - 1.0, a_star)
+        pref = pref * GammaSymbol.power(abs(a2), -omega, -2.0 * a2)
+        quot = GammaSymbol(
+            num=(((a2 * zeta_s + omega), a2),),
+            den=(((a_star * eta_s), a_star), ((a2 * zeta_s), -a2)),
+        )
+        aux = pref * quot * GammaSymbol.power(delta, 0.0, -1.0) * sym
         shift = omega / (2.0 * a2)
         chain = (
-            Reflect(), mult,
+            Reflect(), Multiplier(aux, "laplace-hankel-core", (alpha, beta)),
             PowerWeight(-0.5 - shift),
             LaplaceOp(-a_star, 0.5 + eta - shift),
             HankelOp(-2.0 * a2, 2.0 * a2 * zeta + omega - 1.0),
@@ -722,8 +748,7 @@ VERIFY_POINTS = (0.317, -0.317, 0.731, -0.731, 1.173, -1.173, 1.637, -1.637,
                  2.411, -2.411)
 
 
-def verify_plan_symbol(plan: FactorizationPlan, params: Optional[HParams] = None,
-                       points=None) -> float:
+def verify_plan_symbol(plan: FactorizationPlan, points=None) -> float:
     """Max relative deviation of the chain's composed symbol from the kernel's.
 
     The composed argument map must be exactly the reflection s -> 1 - s.
@@ -731,9 +756,7 @@ def verify_plan_symbol(plan: FactorizationPlan, params: Optional[HParams] = None
     working line Re s = 1 - nu; points landing on a pole of any factor are
     nudged along the line.
     """
-    if params is None:
-        params = plan.params
-    sym = symbol_from_params(params)
+    sym = symbol_from_params(plan.params)
     chain_sym, a, b = chain_action(plan.chain)
     if (a, b) != (1.0, -1.0):
         raise NumericalError("chain argument map does not reflect the line")
@@ -756,18 +779,18 @@ def verify_plan_symbol(plan: FactorizationPlan, params: Optional[HParams] = None
     return worst
 
 
-def apply_plan(plan: FactorizationPlan, f, xs, *, collect_route="plan") -> "TransformResult":
+def apply_plan(plan: FactorizationPlan, f, xs) -> "TransformResult":
     """Apply the chain numerically, first element first."""
     if isinstance(f, TestFunction) and not f.in_space(plan.nu, plan.r):
         raise HypothesisError("f in weighted space", f"nu={plan.nu:g}, r={plan.r:g}")
     _dry_run_spaces(plan.chain, plan.nu, plan.r)
+    xs_arr = _positive_xs(xs)
     live = LiveFunction(f, plan.nu)
     for prim in plan.chain:
         live = prim.apply(live)
-    xs_arr = np.atleast_1d(np.asarray(xs, dtype=float))
     values = live(xs_arr)
     return TransformResult(
-        xs=xs_arr, values=values, route=collect_route,
+        xs=xs_arr, values=values, route="plan",
         error_estimates=np.full(xs_arr.shape, np.nan),
         admissibility={"plan": (True, f"case {plan.case_label} chain")},
     )
@@ -776,6 +799,14 @@ def apply_plan(plan: FactorizationPlan, f, xs, *, collect_route="plan") -> "Tran
 # ---------------------------------------------------------------------------
 # Transform routes
 # ---------------------------------------------------------------------------
+
+def _positive_xs(xs) -> np.ndarray:
+    """xs as a 1-D float array; ParameterError unless every x is finite and > 0."""
+    xs_arr = np.atleast_1d(np.asarray(xs, dtype=float))
+    if np.any(xs_arr <= 0) or not np.all(np.isfinite(xs_arr)):
+        raise ParameterError("x must be positive")
+    return xs_arr
+
 
 @dataclass(frozen=True)
 class TransformResult:
@@ -795,9 +826,7 @@ def htransform_direct(params: HParams, f, xs, space: SpaceSpec,
         raise HypothesisError("direct route inadmissible", reason)
     if isinstance(f, TestFunction) and not f.in_space(space.nu, space.r):
         raise HypothesisError("f in weighted space", f"nu={space.nu:g}")
-    xs_arr = np.atleast_1d(np.asarray(xs, dtype=float))
-    if np.any(xs_arr <= 0) or not np.all(np.isfinite(xs_arr)):
-        raise ParameterError("x must be positive")
+    xs_arr = _positive_xs(xs)
     ktol = tol * 1e-2
     kernel = kernel_evaluator(params, min(ktol, 1e-10)).fine
     values = np.empty(xs_arr.shape, dtype=complex)
@@ -830,13 +859,13 @@ def htransform_mellin(params: HParams, f, xs, space: SpaceSpec,
         raise HypothesisError(
             "Mellin data on the line", f"nu={space.nu:g} outside ({lo:g}, {hi:g})"
         )
+    xs_arr = _positive_xs(xs)
     sym = symbol_from_params(params)
 
     def F(s):
         return sym.eval(s) * f.mellin(1.0 - s)
 
     vals, err = mellin_inverse_numeric(F, 1.0 - space.nu, xs, tol=tol)
-    xs_arr = np.atleast_1d(np.asarray(xs, dtype=float))
     vals = np.atleast_1d(np.asarray(vals))
     return TransformResult(
         xs=xs_arr, values=vals, route="mellin",
@@ -918,15 +947,19 @@ def best_route(params: HParams, f, xs, space: SpaceSpec) -> TransformResult:
     return apply_plan(plan, f, xs)
 
 
-def bilinear_check(params: HParams, f, g, space: SpaceSpec,
-                   tau_span: float = 42.0, h: float = 0.05) -> float:
+# bilinear_check's shared log grid: half-width and step in log t
+_BILINEAR_SPAN, _BILINEAR_STEP = 42.0, 0.05
+
+
+def bilinear_check(params: HParams, f, g, space: SpaceSpec) -> float:
     """|integral of f (Hg) - integral of g (Hf)| on a shared log grid.
 
     The transforms are computed once on the grid through the multiplier
     route when admissible (otherwise the factorization chain) and the outer
     integrals by the trapezoid rule in log coordinates.
     """
-    taus = np.arange(-tau_span, tau_span + h, h)
+    h = _BILINEAR_STEP
+    taus = np.arange(-_BILINEAR_SPAN, _BILINEAR_SPAN + h, h)
     t = np.exp(taus)
 
     def transform_on_grid(fn):

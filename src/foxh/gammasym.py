@@ -6,7 +6,9 @@ casing) times power prefactors base^(u + v s) with positive real base.
 This algebra is closed under multiplication and under affine substitution
 s -> a + b s (reflection s -> 1-s and scaling s -> k s are special cases),
 which is what the per-case auxiliary multiplier symbols and the composed
-actions of factorization chains require.
+actions of factorization chains require; both are formed in engine.py,
+the auxiliary symbols in ``plan_factorization`` beside the chain each one
+sits in.
 
 Evaluation goes through summed log-gammas, so magnitudes far beyond float
 range are usable in log form, and the imaginary part varies continuously
@@ -28,9 +30,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import OutOfTheoryError, ParameterError, PoleOnLineError
+from .errors import ParameterError, PoleOnLineError
 from .gammafn import digamma, log_gamma
-from .params import HParams, Invariants, transpose_params
+from .params import HParams, Invariants
 
 _ON_LINE_TOL = 1e-9
 _MATCH_TOL = 1e-9
@@ -198,122 +200,6 @@ def symbol_from_params(params: HParams) -> GammaSymbol:
     den = [(c, w) for (c, w) in params.upper[params.n:]]
     den += [(1.0 - c, -w) for (c, w) in params.lower[params.m:]]
     return GammaSymbol(tuple(num), tuple(den))
-
-
-# ---------------------------------------------------------------------------
-# Auxiliary multiplier symbols for the per-case factorizations
-# ---------------------------------------------------------------------------
-
-def build_aux_symbol(params: HParams, inv: Invariants, case: int,
-                     chain_params: Optional[dict] = None) -> GammaSymbol:
-    """The gamma-quotient/prefactor multiplier symbol for the given case.
-
-    chain_params supplies the free constants of the host factorization
-    (k for case 2; omega/branch for cases 5-7; eta, zeta, omega for 8-9).
-    Mirrored cases (4, 7, 9) return the partner symbol built on the
-    reciprocal kernel's parameters.
-    """
-    cp = dict(chain_params or {})
-    sym = symbol_from_params(params)
-    alpha = inv.alpha_low
-    beta = inv.beta_high
-    a1, a2, a_star = inv.a1_star, inv.a2_star, inv.a_star
-    mu = inv.mu
-    delta_scale = GammaSymbol.power(inv.delta, 0.0, -1.0)
-
-    if case == 1:
-        return delta_scale * sym
-
-    if case == 2:
-        k = float(cp.get("k", 1.0))
-        branch = cp.get("branch", "lower" if params.m > 0 else "upper")
-        if branch == "lower":
-            if params.m == 0:
-                raise ParameterError("lower-anchored symbol needs m > 0")
-            if not math.isfinite(alpha):
-                raise ParameterError("finite lower strip edge required")
-            quot = GammaSymbol(
-                num=(((-mu - alpha / k), 1.0 / k),),
-                den=((complex(-alpha / k), 1.0 / k),),
-            )
-        else:
-            if params.n == 0:
-                raise ParameterError("upper-anchored symbol needs n > 0")
-            if not math.isfinite(beta):
-                raise ParameterError("finite upper strip edge required")
-            quot = GammaSymbol(
-                num=(((beta / k - mu), -1.0 / k),),
-                den=((complex(beta / k), -1.0 / k),),
-            )
-        return quot * sym
-
-    if case == 3:
-        if not math.isfinite(alpha):
-            raise ParameterError("finite lower strip edge required")
-        refl = sym.substitute(1.0, -1.0)
-        pref = GammaSymbol.power(inv.delta, -1.0, 1.0)
-        pref = pref * GammaSymbol.power(a1, mu + inv.delta_cap, -inv.delta_cap)
-        quot = GammaSymbol(
-            num=(((-mu + a1 * (-1.0 - alpha)), a1),),
-            den=(((a1 * (1.0 - alpha)), -a1),),
-        )
-        return pref * quot * refl
-
-    if case in (4, 7, 9):
-        tp = transpose_params(params)
-        from .params import derive_invariants
-
-        tinv = derive_invariants(tp)
-        partner = {4: 3, 7: 6, 9: 8}[case]
-        return build_aux_symbol(tp, tinv, partner, cp)
-
-    if case == 5:
-        omega = complex(cp["omega"])
-        if not (math.isfinite(alpha) and math.isfinite(beta)):
-            raise ParameterError("bounded strip required")
-        if omega.real >= 0:
-            pref = GammaSymbol.power(a1, a1 * (-alpha) - 1.0, a1)
-            pref = pref * GammaSymbol.power(a2, a2 * beta + omega - 1.0, -a2)
-            quot = GammaSymbol(den=((complex(-a1 * alpha), a1),
-                                    (a2 * beta + omega, -a2)))
-        else:
-            pref = GammaSymbol.power(a1, a1 * (-alpha) - 1.0, a1)
-            pref = pref * GammaSymbol.power(a2, a2 * beta - 1.0, -a2)
-            quot = GammaSymbol(
-                num=(((-a1 * alpha - omega), a1),),
-                den=((complex(-a1 * alpha), a1), (complex(-a1 * alpha), a1),
-                     (complex(a2 * beta), -a2)),
-            )
-        return pref * quot * delta_scale * sym
-
-    if case == 6:
-        omega = complex(cp["omega"])
-        if not math.isfinite(alpha):
-            raise ParameterError("finite lower strip edge required")
-        if omega.real >= 0:
-            pref = GammaSymbol.power(a1, a1 * (-alpha) + omega - 1.0, a1)
-            quot = GammaSymbol(den=(((-a1 * alpha + omega), a1),))
-        else:
-            pref = GammaSymbol.power(a1, a1 * (-alpha) - 1.0, a1)
-            quot = GammaSymbol(
-                num=(((-a1 * alpha - omega), a1),),
-                den=((complex(-a1 * alpha), a1), (complex(-a1 * alpha), a1)),
-            )
-        return pref * quot * delta_scale * sym
-
-    if case == 8:
-        eta = complex(cp["eta"])
-        zeta = complex(cp["zeta"])
-        omega = complex(cp["omega"])
-        pref = GammaSymbol.power(a_star, a_star * eta - 1.0, a_star)
-        pref = pref * GammaSymbol.power(abs(a2), -omega, -2.0 * a2)
-        quot = GammaSymbol(
-            num=(((a2 * zeta + omega), a2),),
-            den=(((a_star * eta), a_star), ((a2 * zeta), -a2)),
-        )
-        return pref * quot * delta_scale * sym
-
-    raise OutOfTheoryError(f"no auxiliary symbol for case {case!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -315,15 +315,11 @@ def transpose_params(params: HParams) -> HParams:
     swap to (n, m, q, p) and every pair (c, w) maps to (1 - c - w, w) on the
     opposite row.  Mirrored-case factorizations are built through it.
     """
-    new_upper = [((1.0 - c - w), w) for (c, w) in params.lower[:params.m]]
-    new_upper += [((1.0 - c - w), w) for (c, w) in params.lower[params.m:]]
-    new_lower = [((1.0 - c - w), w) for (c, w) in params.upper[:params.n]]
-    new_lower += [((1.0 - c - w), w) for (c, w) in params.upper[params.n:]]
-    new_upper_exact = list(params.lower_exact[:params.m]) + list(params.lower_exact[params.m:])
-    new_lower_exact = list(params.upper_exact[:params.n]) + list(params.upper_exact[params.n:])
+    new_upper = [((1.0 - c - w), w) for (c, w) in params.lower]
+    new_lower = [((1.0 - c - w), w) for (c, w) in params.upper]
     return validate_params(
         params.n, params.m, params.q, params.p,
-        new_upper, new_lower, new_upper_exact, new_lower_exact,
+        new_upper, new_lower, list(params.lower_exact), list(params.upper_exact),
     )
 
 

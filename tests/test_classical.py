@@ -652,6 +652,19 @@ def test_grid_function_too_small():
         GridFunction(np.geomspace(0.1, 1, 5), np.zeros(5))
 
 
+@pytest.mark.parametrize("values", [np.ones(10), np.ones((20, 2))])
+def test_grid_function_rejects_mismatched_values(values):
+    with pytest.raises(ParameterError, match="values of shape"):
+        GridFunction(np.geomspace(0.1, 10.0, 20), values)
+
+
+def test_grid_function_rejects_infinite_node():
+    t = np.geomspace(0.1, 10.0, 20)
+    t[-1] = np.inf
+    with pytest.raises(ParameterError, match="finite"):
+        GridFunction(t, np.ones(20))
+
+
 def test_grid_function_mellin():
     t = np.geomspace(1e-4, 60.0, 3000)
     g = GridFunction(t, np.exp(-t))

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from foxh import derive_invariants, params_to_json
 from foxh.cli import run_cli
@@ -86,6 +87,16 @@ def test_transform_violating_plan_exits_2(capsys):
                        "--x", "1", "--route", "plan")
     assert code == 2
     assert "hypothesis-failure" in err
+
+
+@pytest.mark.parametrize("route", ["direct", "mellin", "plan"])
+@pytest.mark.parametrize("x", ["0", "-2", "nan", "inf"])
+def test_transform_bad_x_exits_64(capsys, route, x):
+    code, out, err = run(capsys, "transform", "--params", EXP_PARAMS,
+                         "--nu", "0.5", "--r", "2", "--f", "exp",
+                         f"--x={x}", "--route", route)
+    assert code == 64
+    assert out == "" and "usage-error: x must be positive" in err
 
 
 def test_zeros_exceptional(capsys):

@@ -220,8 +220,13 @@ def test_mellin_route_exp_kernel():
 
 @pytest.mark.parametrize("xs", [[1.0, 0.0], [-2.0], [math.nan], [math.inf]])
 def test_direct_route_rejects_bad_x(xs):
-    with pytest.raises(ParameterError, match="x must be positive"):
-        htransform_direct(EXP_K, F_EXP, xs, SP)
+    # and so do the Mellin and plan routes
+    plan = plan_factorization(EXP_K, SP.nu, SP.r)
+    for route in (lambda: htransform_direct(EXP_K, F_EXP, xs, SP),
+                  lambda: htransform_mellin(EXP_K, F_EXP, xs, SP),
+                  lambda: apply_plan(plan, F_EXP, xs)):
+        with pytest.raises(ParameterError, match="x must be positive"):
+            route()
 
 
 @pytest.mark.parametrize("case", range(1, 10))

@@ -12,9 +12,10 @@ from foxh import (
     PoleOnLineError,
     asymptotic_log_derivative,
     asymptotic_magnitude,
-    build_aux_symbol,
     derive_invariants,
     find_zeros_on_line,
+    log_gamma,
+    plan_factorization,
     symbol_from_params,
     transpose_params,
     validate_params,
@@ -124,27 +125,42 @@ def test_aux_case1_formal_prefactor_cancellation():
 
 
 def test_aux_case2_agrees_with_direct_product():
+    # m > 0: the plan anchors at the lower edge alpha
     p, nu, r = canonical_params(2)
     inv = derive_invariants(p)
-    aux = build_aux_symbol(p, inv, 2, {"k": 1.0, "branch": "lower"})
+    plan = plan_factorization(p, nu, r)
+    assert plan.chain_params["branch"] == "lower"
     sym = symbol_from_params(p)
-    from foxh import log_gamma
-
     for s in (0.6 + 0.9j, 1.4 - 0.3j):
         alpha = inv.alpha_low
         quot = np.exp(log_gamma(s - alpha - inv.mu) - log_gamma(s - alpha))
         direct = quot * sym.eval(s)
-        assert abs(aux.eval(s) / direct - 1.0) < 1e-12
+        assert abs(plan.aux_symbol.eval(s) / direct - 1.0) < 1e-12
+
+
+def test_aux_case2_upper_branch_closed_form():
+    # the transposed kernel has m = 0, n > 0: the plan anchors at beta and
+    # ends in a left Erdelyi-Kober step
+    p, nu, r = canonical_params(2)
+    tp = transpose_params(p)
+    inv = derive_invariants(tp)
+    plan = plan_factorization(tp, 1.0 - nu, r)
+    assert plan.case_label == 2 and plan.chain_params["branch"] == "upper"
+    assert plan.chain[-1].kind == "ek-left"
+    sym = symbol_from_params(tp)
+    beta = inv.beta_high
+    for s in (0.4 + 0.9j, 0.2 - 1.3j, 0.7 + 2.1j):
+        quot = np.exp(log_gamma(beta - inv.mu - s) - log_gamma(beta - s))
+        assert abs(plan.aux_symbol.eval(s) / (quot * sym.eval(s)) - 1.0) < 1e-12
 
 
 def test_aux_case8_matches_symbolic_expansion():
-    from foxh import log_gamma
-
     p, nu, r = canonical_params(8)
     inv = derive_invariants(p)
-    eta, zeta = 1.0, 0.0
-    omega = inv.a_star * eta - inv.mu - 0.5
-    aux = build_aux_symbol(p, inv, 8, {"eta": eta, "zeta": zeta, "omega": omega})
+    plan = plan_factorization(p, nu, r)
+    cp = plan.chain_params
+    eta, zeta, omega = cp["eta"], cp["zeta"], cp["omega"]
+    assert omega == inv.a_star * eta - inv.mu - 0.5
     sym = symbol_from_params(p)
     a, a2, dl = inv.a_star, inv.a2_star, inv.delta
     for s in (0.45 + 0.8j, 0.7 - 1.2j):
@@ -159,18 +175,17 @@ def test_aux_case8_matches_symbolic_expansion():
             * dl ** (-s)
             * sym.eval(s)
         )
-        assert abs(aux.eval(s) / expected - 1.0) < 1e-12
+        assert abs(plan.aux_symbol.eval(s) / expected - 1.0) < 1e-12
 
 
 def test_aux_mirror_cases_use_transposed_kernel():
     p, nu, r = canonical_params(4)
-    inv = derive_invariants(p)
-    aux = build_aux_symbol(p, inv, 4)
-    tp = transpose_params(p)
-    tinv = derive_invariants(tp)
-    partner = build_aux_symbol(tp, tinv, 3)
+    plan = plan_factorization(p, nu, r)
+    partner = plan_factorization(transpose_params(p), 1.0 - nu, r)
+    assert (plan.case_label, partner.case_label) == (4, 3)
+    assert plan.chain[1:-1] == partner.chain
     s = 0.37 + 0.9j
-    assert abs(aux.eval(s) - partner.eval(s)) < 1e-12
+    assert abs(plan.aux_symbol.eval(s) - partner.aux_symbol.eval(s)) < 1e-12
 
 
 # -- magnitude envelope and log derivative ----------------------------------
@@ -237,8 +252,6 @@ def test_class_a_derivative_decay_for_aux_symbols(rng):
     # |d/ds log aux| = O(1/t) makes |aux'| = O(|aux|/t); checked on substrips
     for case in range(1, 10):
         p, nu, r = canonical_params(case)
-        from foxh import plan_factorization
-
         plan = plan_factorization(p, nu, r)
         aux = plan.aux_symbol
         sigma = 1.0 - nu if case not in (3, 4) else nu

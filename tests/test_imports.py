@@ -5,7 +5,10 @@ tests/*.py; the package's __init__.py imports its public API in order to
 re-export it and is exempt.  The private-name scan takes every module-level
 name with a leading underscore (dunders aside) defined in src/foxh/*.py and
 looks for a read of it, as a name, an attribute or an import, in any file of
-src/, tests/ or perfbench/.
+src/, tests/ or perfbench/.  The option scan takes every keyword-only
+parameter with a default on a function in src/foxh/*.py and looks for a call
+of a function of that name, in the same three trees, that passes it by name:
+an option that no caller sets is a constant.
 """
 
 import ast
@@ -81,5 +84,40 @@ def test_no_unread_private_names():
         str(path.relative_to(ROOT)): names
         for path in sorted((ROOT / "src" / "foxh").glob("*.py"))
         if (names := unread_private_names(path, read))
+    }
+    assert found == {}
+
+
+def keyword_options(path: Path) -> set:
+    """(function, parameter) for every keyword-only parameter with a default."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    found.add((node.name, arg.arg))
+    return found
+
+
+def keywords_passed(path: Path) -> set:
+    """(function, keyword) for every call that passes an argument by name."""
+    passed = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            passed |= {(name, kw.arg) for kw in node.keywords if kw.arg is not None}
+    return passed
+
+
+def test_every_keyword_option_is_passed():
+    passed = set()
+    for tree in ("src", "tests", "perfbench"):
+        for path in (ROOT / tree).rglob("*.py"):
+            passed |= keywords_passed(path)
+    found = {
+        str(path.relative_to(ROOT)): sorted(f"{fn}({arg}=)" for fn, arg in unset)
+        for path in sorted((ROOT / "src" / "foxh").glob("*.py"))
+        if (unset := keyword_options(path) - passed)
     }
     assert found == {}
