@@ -22,8 +22,8 @@ _ASYM_TERMS = 18
 
 def _series_coeffs(eta: complex) -> np.ndarray:
     j = np.arange(_SERIES_TERMS)
-    lg = np.array([log_gamma(complex(jj + 1)) for jj in j])
-    lge = np.array([log_gamma(eta + jj + 1.0) for jj in j])
+    lg = log_gamma(j + 1.0)
+    lge = log_gamma(eta + j + 1.0)
     return (-1.0) ** j * np.exp(-lg - lge)
 
 

@@ -439,8 +439,22 @@ def mellin_line_samples(fn, s_nodes):
     return panel_sums(-s_nodes.imag, mid, off, base)
 
 
+def positive_args(x) -> np.ndarray:
+    """x as a 1-D float array; ParameterError unless every x is finite and > 0."""
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(x_arr <= 0) or not np.all(np.isfinite(x_arr)):
+        raise ParameterError("x must be positive")
+    return x_arr
+
+
 def _decay_truncation(F, gamma_line: float, tol: float):
-    """Find T with |F| negligible beyond it on the line Re s = gamma_line."""
+    """Find T with |F| negligible beyond it on the line Re s = gamma_line.
+
+    |F| at T is judged against the largest |F| seen, at the heights tried so
+    far and at two fixed points near the real axis, sampled once.
+    """
+    near = float(np.max(np.abs(np.asarray(
+        F(np.array([gamma_line + 0.3j, gamma_line + 1.9j]))))))
     scale = 0.0
     T = 5.0
     while T <= 400.0:
@@ -448,8 +462,7 @@ def _decay_truncation(F, gamma_line: float, tol: float):
             F(np.array([gamma_line + 1j * T, gamma_line + 1.07j * T, gamma_line - 1j * T]))
         ))
         m = float(np.max(sample))
-        scale = max(scale, m, float(np.max(np.abs(np.asarray(
-            F(np.array([gamma_line + 0.3j, gamma_line + 1.9j])))))))
+        scale = max(scale, m, near)
         if m <= tol * scale / max(T, 1.0):
             return T
         T *= 1.6
@@ -466,9 +479,7 @@ def mellin_inverse_numeric(F, gamma_line: float, x, *, tol: float = 1e-10):
     """
     if isinstance(F, GammaSymbol):
         F = F.eval
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x_arr <= 0) or not np.all(np.isfinite(x_arr)):
-        raise ParameterError("inverse Mellin needs finite positive arguments")
+    x_arr = positive_args(x)
     T = _decay_truncation(F, gamma_line, tol)
     logx = np.log(x_arr)
     npu = max(10, int(math.ceil(1.5 * float(np.max(np.abs(logx))))))
@@ -636,9 +647,7 @@ def ek_fractional(side: str, alpha, sigma: float, eta, f, x):
         raise HypothesisError("Re(alpha) > 0", f"got {alpha}")
     if sigma <= 0:
         raise HypothesisError("sigma > 0", f"got {sigma}")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x_arr <= 0):
-        raise ParameterError("argument must be positive")
+    x_arr = positive_args(x)
 
     if side == "left":
         power = 1.0 / sigma
@@ -789,9 +798,7 @@ def hankel_mod(kappa: float, eta, f, x):
         raise HypothesisError("kappa != 0")
     if eta.real <= -1.0:
         raise HypothesisError("Re(eta) > -1", f"got {eta}")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x_arr <= 0):
-        raise ParameterError("argument must be positive")
+    x_arr = positive_args(x)
     y_head, jw_head, ly_arch, jw_arch = _hankel_grid((eta.real, eta.imag))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         xi_full = np.abs(kappa) * x_arr ** (1.0 / kappa)
@@ -882,7 +889,7 @@ def laplace_mod(kappa: float, alpha, f, x):
     """
     from .engine import LaplaceOp, LiveFunction
 
-    out = LaplaceOp(kappa, alpha).apply(LiveFunction(f, 0.0))(x)
+    out = LaplaceOp(kappa, alpha).apply(LiveFunction(f, 0.0))(positive_args(x))
     return complex(out[0]) if np.ndim(x) == 0 else out
 
 

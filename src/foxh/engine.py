@@ -36,6 +36,7 @@ from .classical import (
     hankel_mod,
     mellin_line_samples,
     mellin_inverse_numeric,
+    positive_args,
     support_of,
 )
 from .errors import (
@@ -753,30 +754,27 @@ def verify_plan_symbol(plan: FactorizationPlan, points=None) -> float:
 
     The composed argument map must be exactly the reflection s -> 1 - s.
     The symbols are compared at Im s = points (default VERIFY_POINTS) on the
-    working line Re s = 1 - nu; points landing on a pole of any factor are
-    nudged along the line.
+    working line Re s = 1 - nu, all points in one evaluation of each symbol.
+    When a point lands on a pole of any factor, the whole point set is
+    nudged along the line and evaluated again.
     """
     sym = symbol_from_params(plan.params)
     chain_sym, a, b = chain_action(plan.chain)
     if (a, b) != (1.0, -1.0):
         raise NumericalError("chain argument map does not reflect the line")
     line = 1.0 - plan.nu
-    if points is None:
-        points = VERIFY_POINTS
-    worst = 0.0
-    for t in points:
-        for attempt in range(4):
-            s = complex(line, t + 0.0371 * attempt)
-            try:
-                total = chain_sym.eval_log(s)
-                ref = sym.eval_log(s)
-                break
-            except PoleError:
-                continue
-        else:
-            raise NumericalError(f"could not find a pole-free sample near Im s = {t}")
-        worst = max(worst, abs(np.exp(complex(total) - complex(ref)) - 1.0))
-    return worst
+    ts = np.asarray(VERIFY_POINTS if points is None else points, dtype=float)
+    for attempt in range(4):
+        s = line + 1j * (ts + 0.0371 * attempt)
+        try:
+            total = chain_sym.eval_log(s)
+            ref = sym.eval_log(s)
+            break
+        except PoleError:
+            continue
+    else:
+        raise NumericalError(f"could not find pole-free samples near Im s = {ts.tolist()}")
+    return float(np.max(np.abs(np.exp(total - ref) - 1.0)))
 
 
 def apply_plan(plan: FactorizationPlan, f, xs) -> "TransformResult":
@@ -784,7 +782,7 @@ def apply_plan(plan: FactorizationPlan, f, xs) -> "TransformResult":
     if isinstance(f, TestFunction) and not f.in_space(plan.nu, plan.r):
         raise HypothesisError("f in weighted space", f"nu={plan.nu:g}, r={plan.r:g}")
     _dry_run_spaces(plan.chain, plan.nu, plan.r)
-    xs_arr = _positive_xs(xs)
+    xs_arr = positive_args(xs)
     live = LiveFunction(f, plan.nu)
     for prim in plan.chain:
         live = prim.apply(live)
@@ -799,14 +797,6 @@ def apply_plan(plan: FactorizationPlan, f, xs) -> "TransformResult":
 # ---------------------------------------------------------------------------
 # Transform routes
 # ---------------------------------------------------------------------------
-
-def _positive_xs(xs) -> np.ndarray:
-    """xs as a 1-D float array; ParameterError unless every x is finite and > 0."""
-    xs_arr = np.atleast_1d(np.asarray(xs, dtype=float))
-    if np.any(xs_arr <= 0) or not np.all(np.isfinite(xs_arr)):
-        raise ParameterError("x must be positive")
-    return xs_arr
-
 
 @dataclass(frozen=True)
 class TransformResult:
@@ -826,7 +816,7 @@ def htransform_direct(params: HParams, f, xs, space: SpaceSpec,
         raise HypothesisError("direct route inadmissible", reason)
     if isinstance(f, TestFunction) and not f.in_space(space.nu, space.r):
         raise HypothesisError("f in weighted space", f"nu={space.nu:g}")
-    xs_arr = _positive_xs(xs)
+    xs_arr = positive_args(xs)
     ktol = tol * 1e-2
     kernel = kernel_evaluator(params, min(ktol, 1e-10)).fine
     values = np.empty(xs_arr.shape, dtype=complex)
@@ -859,7 +849,7 @@ def htransform_mellin(params: HParams, f, xs, space: SpaceSpec,
         raise HypothesisError(
             "Mellin data on the line", f"nu={space.nu:g} outside ({lo:g}, {hi:g})"
         )
-    xs_arr = _positive_xs(xs)
+    xs_arr = positive_args(xs)
     sym = symbol_from_params(params)
 
     def F(s):

@@ -186,8 +186,16 @@ def test_inverse_mellin_beta_pair():
 
 
 def test_inverse_mellin_constant_refused():
+    calls = []
+
+    def flat(s):
+        calls.append(s)
+        return np.ones_like(s)
+
     with pytest.raises(DivergentIntegralError, match="decay"):
-        mellin_inverse_numeric(lambda s: np.ones_like(s), 0.5, 1.0)
+        mellin_inverse_numeric(flat, 0.5, 1.0)
+    # two scale points sampled once, then one sample per height tried
+    assert len(calls) == 11
 
 
 # -- elementary operators ----------------------------------------------------
@@ -670,3 +678,15 @@ def test_grid_function_mellin():
     g = GridFunction(t, np.exp(-t))
     val = mellin_numeric(g, 2.0)
     assert abs(val - 1.0) < 1e-5  # limited by linear interpolation
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, 0.0])
+def test_operators_reject_non_finite_or_non_positive_x(x):
+    operators = (
+        lambda: laplace_mod(1.0, 0.0, EXPF, [x]),
+        lambda: ek_fractional("right", 1.0, 1.0, 1.0, EXPF, [x]),
+        lambda: hankel_mod(1.0, 0.0, EXPF, [1.0, x]),
+    )
+    for op in operators:
+        with pytest.raises(ParameterError, match="x must be positive"):
+            op()

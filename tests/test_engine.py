@@ -17,6 +17,7 @@ from foxh import (
     HypothesisError,
     NumericalError,
     ParameterError,
+    PoleError,
     SpaceSpec,
     TestFunction,
     apply_plan,
@@ -29,11 +30,14 @@ from foxh import (
     laplace_mod,
     log_gamma,
     plan_factorization,
+    symbol_from_params,
     transpose_params,
     validate_params,
     verify_plan_symbol,
 )
+from foxh import gammasym
 from foxh.engine import (
+    VERIFY_POINTS,
     EKLeft,
     EKRight,
     HankelOp,
@@ -190,6 +194,36 @@ def test_verify_plan_symbol_on_random_plans(rng):
             continue
         assert verify_plan_symbol(plan) <= 1e-10, params
         checked += 1
+
+
+def test_verify_plan_symbol_nudges_off_a_structural_zero():
+    # Gamma(1/2 + 2s) / Gamma(1/2 - s) vanishes at s = 1/2, on the working
+    # line of nu = 1/2; Im s = 0 lands there, so the whole set is nudged
+    params = validate_params(1, 0, 0, 2, [], [(0.5, 2.0), (0.5, 1.0)])
+    plan = plan_factorization(params, 0.5, 2.0)
+    with pytest.raises(PoleError):
+        symbol_from_params(params).eval_log(0.5)
+    residual = verify_plan_symbol(plan, points=[0.731, 0.0, -1.173])
+    assert math.isfinite(residual) and residual <= 1e-10
+
+
+@pytest.mark.parametrize("case", range(1, 10))
+def test_verify_plan_symbol_calls_log_gamma_once_per_factor(case, monkeypatch):
+    params, nu, r = canonical_params(case)
+    plan = plan_factorization(params, nu, r)
+    calls = []
+
+    def counting(z):
+        calls.append(np.size(z))
+        return log_gamma(z)
+
+    monkeypatch.setattr(gammasym, "log_gamma", counting)
+    verify_plan_symbol(plan)
+    chain_sym = chain_action(plan.chain)[0]
+    sym = symbol_from_params(params)
+    factors = sum(len(g.num) + len(g.den) for g in (sym, chain_sym))
+    assert 0 < len(calls) <= factors
+    assert set(calls) == {len(VERIFY_POINTS)}
 
 
 def test_plan_json_roundtrip_fields():

@@ -71,3 +71,48 @@ def test_conjugate_symmetry():
     z = 1.7 + 2.3j
     assert abs(np.conj(log_gamma(z)) - log_gamma(np.conj(z))) < 1e-13
     assert abs(np.conj(digamma(z)) - digamma(np.conj(z))) < 1e-13
+
+
+def _fast_path_arguments():
+    """Arguments on both sides of the shift radius |w| = 10, reflected ones
+    (Re z < 1/2), both half-planes and large |Im z|."""
+    rng = np.random.default_rng(11)
+    ring = rng.uniform(9.0, 11.0, 300) * np.exp(1j * rng.uniform(-np.pi, np.pi, 300))
+    box = rng.uniform(-25, 25, 300) + 1j * rng.uniform(-25, 25, 300)
+    tall = rng.uniform(-4, 4, 100) + 1j * rng.uniform(-500, 500, 100)
+    return np.concatenate([ring, box, tall, [0.5, 1.0, 9.99, 10.01, -9.5 + 0.2j]])
+
+
+@pytest.mark.parametrize("fn", [log_gamma, digamma])
+def test_batch_equals_elements_bitwise(fn):
+    z = _fast_path_arguments()
+    assert np.any(np.abs(z) < 10.0) and np.any(np.abs(z) > 10.0)
+    assert np.any(z.real < 0.5) and np.any(z.imag < 0) and np.any(z.imag > 0)
+    batch = fn(z)
+    one_by_one = np.array([fn(complex(v)) for v in z])
+    assert batch.tobytes() == one_by_one.tobytes()
+    # a 2-d batch gives the same bits in the same places
+    assert fn(z.reshape(-1, 5)).tobytes() == batch.tobytes()
+
+
+@pytest.mark.parametrize("fn", [log_gamma, digamma])
+def test_input_array_left_unmodified(fn):
+    z = _fast_path_arguments()
+    before = z.copy()
+    fn(z)
+    assert z.tobytes() == before.tobytes()
+
+
+def test_zero_dimensional_input_returns_scalar():
+    for value in (2.5, 0.3 + 4.0j, np.array(-1.5 + 0.5j)):
+        out = log_gamma(value)
+        assert np.ndim(out) == 0 and not isinstance(out, np.ndarray)
+        assert np.ndim(digamma(value)) == 0
+    assert log_gamma(np.array([2.5])).shape == (1,)
+
+
+def test_pole_raised_inside_a_batch():
+    with pytest.raises(PoleError):
+        log_gamma(np.array([1.5 + 2.0j, 30.0, -2.0, 0.25]))
+    with pytest.raises(PoleError):
+        digamma(np.array([3.0, 0.0]))

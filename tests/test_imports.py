@@ -8,7 +8,9 @@ looks for a read of it, as a name, an attribute or an import, in any file of
 src/, tests/ or perfbench/.  The option scan takes every keyword-only
 parameter with a default on a function in src/foxh/*.py and looks for a call
 of a function of that name, in the same three trees, that passes it by name:
-an option that no caller sets is a constant.
+an option that no caller sets is a constant.  The gamma-call scan fails on a
+call of log_gamma or digamma inside a comprehension in src/foxh/*.py: both
+take arrays, and one array call costs about what one scalar call does.
 """
 
 import ast
@@ -99,14 +101,18 @@ def keyword_options(path: Path) -> set:
     return found
 
 
+def call_name(node: ast.Call):
+    """The called function's name, plain or as an attribute; None otherwise."""
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def keywords_passed(path: Path) -> set:
     """(function, keyword) for every call that passes an argument by name."""
     passed = set()
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            passed |= {(name, kw.arg) for kw in node.keywords if kw.arg is not None}
+            passed |= {(call_name(node), kw.arg) for kw in node.keywords if kw.arg is not None}
     return passed
 
 
@@ -119,5 +125,30 @@ def test_every_keyword_option_is_passed():
         str(path.relative_to(ROOT)): sorted(f"{fn}({arg}=)" for fn, arg in unset)
         for path in sorted((ROOT / "src" / "foxh").glob("*.py"))
         if (unset := keyword_options(path) - passed)
+    }
+    assert found == {}
+
+
+GAMMA_KERNELS = {"log_gamma", "digamma"}
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def gamma_calls_in_comprehensions(path: Path) -> list:
+    """Lines of log_gamma/digamma calls made once per comprehension element."""
+    found = set()
+    for comp in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(comp, COMPREHENSIONS):
+            continue
+        for node in ast.walk(comp):
+            if isinstance(node, ast.Call) and call_name(node) in GAMMA_KERNELS:
+                found.add(f"{call_name(node)} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_no_gamma_call_per_comprehension_element():
+    found = {
+        str(path.relative_to(ROOT)): calls
+        for path in sorted((ROOT / "src" / "foxh").glob("*.py"))
+        if (calls := gamma_calls_in_comprehensions(path))
     }
     assert found == {}
