@@ -130,6 +130,8 @@ class TestFunction:
     def __post_init__(self):
         if self.family not in ("power-exp", "trunc-power", "gaussian"):
             raise ParameterError(f"unknown test-function family {self.family!r}")
+        if not (math.isfinite(self.c) and math.isfinite(self.p)):
+            raise ParameterError("exponent and decay rate must be finite")
         if self.p <= 0:
             raise ParameterError("decay rate must be positive")
         if not self._checked and self.amplitude != 0:
@@ -201,12 +203,12 @@ class TestFunction:
         return TestFunction("power-exp", c, p, amplitude)
 
     @staticmethod
-    def trunc_power(c=0.0, amplitude=1.0):
-        return TestFunction("trunc-power", c, 1.0, amplitude)
+    def trunc_power(c=0.0):
+        return TestFunction("trunc-power", c, 1.0)
 
     @staticmethod
-    def gaussian(c=0.0, p=0.5, amplitude=1.0):
-        return TestFunction("gaussian", c, p, amplitude)
+    def gaussian(c=0.0, p=0.5):
+        return TestFunction("gaussian", c, p)
 
     @staticmethod
     def zero():
@@ -222,14 +224,12 @@ class TestFunction:
         if name == "gauss":
             return TestFunction.gaussian(0.0, 0.5)
         if name.startswith("tpow:"):
-            return TestFunction.trunc_power(float(name.split(":", 1)[1]))
+            try:
+                c = float(name.split(":", 1)[1])
+            except ValueError:
+                raise ParameterError(f"tpow:c needs a number c, got {name!r}") from None
+            return TestFunction.trunc_power(c)
         raise ParameterError(f"unknown built-in test function {name!r}")
-
-    def to_json(self) -> dict:
-        return {
-            "family": self.family, "c": self.c, "p": self.p,
-            "amplitude": [self.amplitude.real, self.amplitude.imag],
-        }
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,10 @@ def load_params(spec: str):
 
 def parse_x_args(args) -> np.ndarray:
     if args.x is not None:
-        return np.asarray([float(v) for v in args.x], dtype=float)
+        try:
+            return np.asarray([float(v) for v in args.x], dtype=float)
+        except ValueError:
+            raise ParameterError(f"x must be positive numbers, got {args.x}") from None
     if args.x_grid is not None:
         try:
             lo, hi, count = args.x_grid.split(":")

@@ -7,13 +7,13 @@ primitive operators applied left to right (first element first).
 
 Each primitive states its Mellin action once, as ``mellin_action()``
 returning (GammaSymbol, a, b): the Mellin transform of its output at s is
-that symbol times the input's transform at a + b s.  Everything else about
-the action is derived from it: the weight of the output space (the input's
-line Re s = nu maps to Re(a + b s) = nu, see ``_out_weight``) and the action
-of a whole chain, which ``chain_action`` composes with
-``GammaSymbol.substitute`` into one symbol and one affine map.  Each
-primitive also knows its admissibility conditions and how to apply itself
-numerically.
+that symbol times the input's transform at a + b s.  The rest is derived
+from it: the output weight (the input's line Re s = nu maps to
+Re(a + b s) = nu, ``_out_weight``), the step's convergence condition and
+JSON (``_Step``), and the action of a whole chain, which ``chain_action``
+composes with ``GammaSymbol.substitute`` into one symbol and one affine
+map.  A step states by hand only what its action cannot show (Re alpha > 0,
+Hankel's r conditions, a multiplier's strip) and how it applies itself.
 
 A chain factorizes the transform exactly when its composed map is the
 reflection s -> 1 - s and its composed symbol is the kernel symbol;
@@ -24,7 +24,7 @@ working line, the numerical content of the range theorems used here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -71,8 +71,8 @@ class LiveFunction:
     """Vectorized callable on (0, inf) tagged with its space weight.
 
     cost records how expensive a single evaluation is (0: closed form,
-    1: one matrix product, 2: nested quadrature); integral operators
-    tabulate costly inputs before sampling them thousands of times.
+    1: a matrix product or a quadrature); integral operators tabulate
+    costly inputs before sampling them thousands of times.
     support is the function's Support record, with fn's hard edges.
     """
 
@@ -165,7 +165,7 @@ def tabulate(live: LiveFunction, *, h: float = _TABLE_STEP,
 def _integral_step(prim, live: LiveFunction, op, *args) -> LiveFunction:
     """prim's output x -> op(*args, live, x), live tabulated first if costly."""
     src = tabulate(live) if getattr(live, "cost", 0) >= 1 else live
-    return LiveFunction(lambda x: op(*args, src, x), _out_weight(prim, live.nu), cost=2)
+    return LiveFunction(lambda x: op(*args, src, x), _out_weight(prim, live.nu), cost=1)
 
 
 # outputs of the grid Laplace sum per block: its weights take _LAPLACE_ROWS x n
@@ -226,56 +226,77 @@ def _out_weight(prim, nu: float) -> float:
     return (nu - complex(a).real) / b
 
 
-def _carried(live, fn, nu: float, sign: float, shift: float = 0.0) -> LiveFunction:
-    """fn(e^tau) = live(e^(sign tau + shift)) times a smooth factor, as a
-    LiveFunction of live's cost that carries live's hard edges."""
-    out = LiveFunction(fn, nu, getattr(live, "cost", 0))
+def _carried(prim, live, fn, sign: float, shift: float = 0.0) -> LiveFunction:
+    """prim's output fn(e^tau) = live(e^(sign tau + shift)) times a smooth
+    factor, as a LiveFunction of live's cost that carries live's hard edges."""
+    out = LiveFunction(fn, _out_weight(prim, live.nu), getattr(live, "cost", 0))
     ends = [None if e is None else sign * e + shift for e in support_of(live).hard]
     out.support = Support(out, ends if sign > 0 else ends[::-1])
     return out
 
 
+_UNDESCRIBED = {"undescribed": True}  # field metadata: describe() leaves it out
+
+
+class _Step:
+    """A chain primitive's space check and JSON, read off mellin_action().
+
+    check_space: on the output line Re s = nu' each numerator factor
+    Gamma(c + w s) of the symbol needs Re(c + w nu') > 0, the side of its
+    poles where the step's Mellin integral converges.  describe: {"op": kind}
+    plus the fields, complex ones as [re, im], symbols through to_json(),
+    those marked _UNDESCRIBED left out.
+    """
+
+    def check_space(self, nu, r):
+        out = _out_weight(self, nu)
+        for c, w in self.mellin_action()[0].num:
+            if not complex(c).real + w * out > 0:
+                raise HypothesisError("Re(c + w s) > 0 for a numerator Gamma(c + w s)",
+                                      f"c={complex(c):.6g}, w={w:.6g}, line Re s={out:g}")
+
+    def describe(self):
+        out = {"op": self.kind}
+        for f in fields(self):
+            if f.metadata.get("undescribed"):
+                continue
+            v = getattr(self, f.name)
+            if isinstance(v, GammaSymbol):
+                v = v.to_json()
+            elif f.type == "complex":
+                v = [complex(v).real, complex(v).imag]
+            out[f.name] = v
+        return out
+
+
 @dataclass(frozen=True)
-class Reflect:
-    kind: str = field(default="reflect", init=False)
+class Reflect(_Step):
+    kind = "reflect"
 
     def mellin_action(self):
         return GammaSymbol.one(), 1.0, -1.0
 
-    def check_space(self, nu, r):
-        return None
-
     def apply(self, live: LiveFunction) -> LiveFunction:
-        return _carried(live, lambda x: live(1.0 / x) / x, _out_weight(self, live.nu), -1.0)
-
-    def describe(self):
-        return {"op": "reflect"}
+        return _carried(self, live, lambda x: live(1.0 / x) / x, -1.0)
 
 
 @dataclass(frozen=True)
-class PowerWeight:
+class PowerWeight(_Step):
     zeta: complex
-    kind: str = field(default="power-weight", init=False)
+    kind = "power-weight"
 
     def mellin_action(self):
         return GammaSymbol.one(), self.zeta, 1.0
 
-    def check_space(self, nu, r):
-        return None
-
     def apply(self, live: LiveFunction) -> LiveFunction:
         zeta = complex(self.zeta)
-        return _carried(live, lambda x: np.exp(zeta * np.log(x)) * live(x),
-                        _out_weight(self, live.nu), 1.0)
-
-    def describe(self):
-        return {"op": "power-weight", "zeta": [self.zeta.real, self.zeta.imag]}
+        return _carried(self, live, lambda x: np.exp(zeta * np.log(x)) * live(x), 1.0)
 
 
 @dataclass(frozen=True)
-class Dilate:
+class Dilate(_Step):
     factor: float
-    kind: str = field(default="dilate", init=False)
+    kind = "dilate"
 
     def __post_init__(self):
         if self.factor <= 0:
@@ -284,28 +305,23 @@ class Dilate:
     def mellin_action(self):
         return GammaSymbol.power(self.factor, 0.0, 1.0), 0.0, 1.0
 
-    def check_space(self, nu, r):
-        return None
-
     def apply(self, live: LiveFunction) -> LiveFunction:
-        return _carried(live, lambda x: live(x / self.factor), _out_weight(self, live.nu),
-                        1.0, math.log(self.factor))
-
-    def describe(self):
-        return {"op": "dilate", "factor": self.factor}
+        return _carried(self, live, lambda x: live(x / self.factor), 1.0, math.log(self.factor))
 
 
 @dataclass(frozen=True)
-class Multiplier:
+class Multiplier(_Step):
     symbol: GammaSymbol
     label: str = "multiplier"
-    strip: Optional[tuple] = None
-    kind: str = field(default="multiplier", init=False)
+    strip: Optional[tuple] = field(default=None, metadata=_UNDESCRIBED)
+    kind = "multiplier"
 
     def mellin_action(self):
         return self.symbol, 0.0, 1.0
 
     def check_space(self, nu, r):
+        # the symbol need only be analytic on the line: its strip replaces
+        # the convergence rule
         if not (1.0 < r < math.inf):
             raise HypothesisError("1 < r < inf", "multiplier transforms need it")
         if self.strip is not None:
@@ -338,78 +354,44 @@ class Multiplier:
 
         return LiveFunction(ev, _out_weight(self, nu_c), cost=1)
 
-    def describe(self):
-        return {"op": "multiplier", "label": self.label,
-                "symbol": self.symbol.to_json()}
-
 
 @dataclass(frozen=True)
-class EKLeft:
+class EK(_Step):
+    """Erdelyi-Kober fractional integral of order alpha, side "left" or "right"."""
+
+    side: str = field(metadata=_UNDESCRIBED)
     alpha: complex
     sigma: float
     eta: complex
-    kind: str = field(default="ek-left", init=False)
+
+    @property
+    def kind(self):
+        return "ek-" + self.side
 
     def mellin_action(self):
-        # Gamma(1 + eta - s/sigma) / Gamma(1 + eta + alpha - s/sigma)
-        w = -1.0 / self.sigma
-        return GammaSymbol(num=((complex(1.0 + self.eta), w),),
-                           den=((complex(1.0 + self.eta + self.alpha), w),)), 0.0, 1.0
+        # left: Gamma(1 + eta - s/sigma) / Gamma(1 + eta + alpha - s/sigma);
+        # right: Gamma(eta + s/sigma) / Gamma(eta + alpha + s/sigma)
+        if self.side == "left":
+            c, w = complex(1.0 + self.eta), -1.0 / self.sigma
+        else:
+            c, w = complex(self.eta), 1.0 / self.sigma
+        return GammaSymbol(num=((c, w),), den=((c + self.alpha, w),)), 0.0, 1.0
 
     def check_space(self, nu, r):
         if complex(self.alpha).real <= 0:
             raise HypothesisError("Re(alpha) > 0")
-        if not nu < self.sigma * (1.0 + complex(self.eta).real):
-            raise HypothesisError(
-                "nu < sigma (1 + Re eta)",
-                f"nu={nu:g}, sigma={self.sigma:g}, eta={self.eta}",
-            )
+        super().check_space(nu, r)
 
     def apply(self, live: LiveFunction) -> LiveFunction:
-        return _integral_step(self, live, ek_fractional, "left", self.alpha, self.sigma,
+        return _integral_step(self, live, ek_fractional, self.side, self.alpha, self.sigma,
                               self.eta)
-
-    def describe(self):
-        return {"op": "ek-left", "alpha": [self.alpha.real, self.alpha.imag],
-                "sigma": self.sigma, "eta": [self.eta.real, self.eta.imag]}
 
 
 @dataclass(frozen=True)
-class EKRight:
-    alpha: complex
-    sigma: float
-    eta: complex
-    kind: str = field(default="ek-right", init=False)
-
-    def mellin_action(self):
-        # Gamma(eta + s/sigma) / Gamma(eta + alpha + s/sigma)
-        w = 1.0 / self.sigma
-        return GammaSymbol(num=((complex(self.eta), w),),
-                           den=((complex(self.eta + self.alpha), w),)), 0.0, 1.0
-
-    def check_space(self, nu, r):
-        if complex(self.alpha).real <= 0:
-            raise HypothesisError("Re(alpha) > 0")
-        if not nu > -self.sigma * complex(self.eta).real:
-            raise HypothesisError(
-                "nu > -sigma Re(eta)",
-                f"nu={nu:g}, sigma={self.sigma:g}, eta={self.eta}",
-            )
-
-    def apply(self, live: LiveFunction) -> LiveFunction:
-        return _integral_step(self, live, ek_fractional, "right", self.alpha, self.sigma,
-                              self.eta)
-
-    def describe(self):
-        return {"op": "ek-right", "alpha": [self.alpha.real, self.alpha.imag],
-                "sigma": self.sigma, "eta": [self.eta.real, self.eta.imag]}
-
-
-@dataclass(frozen=True)
-class HankelOp:
+class HankelOp(_Step):
     index: float  # kappa
     order: complex  # eta
-    kind: str = field(default="hankel", init=False)
+    kind = "hankel"
 
     def mellin_action(self):
         # (2/|kappa|)^z Gamma((eta + 1 + z)/2) / Gamma((eta + 1 - z)/2),
@@ -423,29 +405,21 @@ class HankelOp:
     def check_space(self, nu, r):
         if not (1.0 < r < math.inf):
             raise HypothesisError("1 < r < inf")
-        rr = SpaceSpec(nu, r)
+        gamma_r = SpaceSpec(nu, r).gamma_r
         mid = self.index * (nu - 0.5) + 0.5
-        if not (rr.gamma_r <= mid + 1e-12):
+        if not (gamma_r <= mid + 1e-12):
             raise HypothesisError(
                 "gamma(r) <= kappa (nu - 1/2) + 1/2",
-                f"gamma(r)={rr.gamma_r:g}, value={mid:g}",
+                f"gamma(r)={gamma_r:g}, value={mid:g}",
             )
-        if not (mid < complex(self.order).real + 1.5):
-            raise HypothesisError(
-                "kappa (nu - 1/2) + 1/2 < Re(eta) + 3/2",
-                f"value={mid:g}, eta={self.order}",
-            )
+        super().check_space(nu, r)
 
     def apply(self, live: LiveFunction) -> LiveFunction:
         return _integral_step(self, live, hankel_mod, self.index, self.order)
 
-    def describe(self):
-        return {"op": "hankel", "index": self.index,
-                "order": [self.order.real, self.order.imag]}
-
 
 @dataclass(frozen=True)
-class LaplaceOp:
+class LaplaceOp(_Step):
     """Modified Laplace transform of index kappa and offset alpha.
 
     apply tabulates its input and sums on the table's own lattice
@@ -455,7 +429,7 @@ class LaplaceOp:
 
     index: float  # kappa
     offset: complex  # alpha
-    kind: str = field(default="laplace", init=False)
+    kind = "laplace"
 
     def __post_init__(self):
         if self.index == 0:
@@ -468,15 +442,6 @@ class LaplaceOp:
         sym = GammaSymbol(num=((complex(-kap * self.offset), kap),))
         return sym * GammaSymbol.power(abs(kap), 1.0 + kap * self.offset, -kap), 1.0, -1.0
 
-    def check_space(self, nu, r):
-        a = complex(self.offset).real
-        if self.index > 0 and not nu < 1.0 - a:
-            raise HypothesisError("nu < 1 - Re(alpha) for kappa > 0",
-                                  f"nu={nu:g}, alpha={self.offset}")
-        if self.index < 0 and not nu > 1.0 - a:
-            raise HypothesisError("nu > 1 - Re(alpha) for kappa < 0",
-                                  f"nu={nu:g}, alpha={self.offset}")
-
     def apply(self, live: LiveFunction) -> LiveFunction:
         # the weight is analytic for |Im s| < pi |kappa| / 2, so the lattice
         # sum errs like exp(-pi^2 |kappa| / h): h <= |kappa| / 4 makes that
@@ -487,10 +452,6 @@ class LaplaceOp:
         weight = 1.0 - complex(self.offset).real
         return _laplace_on_grid(self.index, self.offset, tabulate(live, h=h, weight=weight),
                                 _out_weight(self, live.nu))
-
-    def describe(self):
-        return {"op": "laplace", "index": self.index,
-                "offset": [self.offset.real, self.offset.imag]}
 
 
 # ---------------------------------------------------------------------------
@@ -596,12 +557,12 @@ def plan_factorization(params: HParams, nu: float, r: float) -> FactorizationPla
             # Gamma(s - alpha - mu) / Gamma(s - alpha), anchored at alpha
             cp["branch"] = "lower"
             aux = GammaSymbol(num=((-mu - alpha, 1.0),), den=((complex(-alpha), 1.0),)) * sym
-            tail = EKRight(-mu, 1.0, -alpha)
+            tail = EK("right", -mu, 1.0, -alpha)
         else:
             # Gamma(beta - mu - s) / Gamma(beta - s), anchored at beta
             cp["branch"] = "upper"
             aux = GammaSymbol(num=((beta - mu, -1.0),), den=((complex(beta), -1.0),)) * sym
-            tail = EKLeft(-mu, 1.0, beta - 1.0)
+            tail = EK("left", -mu, 1.0, beta - 1.0)
         mult = Multiplier(
             GammaSymbol.power(delta, 0.0, -1.0) * aux,
             "augmented-balanced-core", (alpha, beta),
@@ -662,7 +623,7 @@ def plan_factorization(params: HParams, nu: float, r: float) -> FactorizationPla
                      (complex(a2 * beta), -a2)),
             )
             steps = (LaplaceOp(a2, 1.0 - beta), LaplaceOp(a1, alpha),
-                     EKRight(-omega, 1.0 / a1, -a1 * alpha))
+                     EK("right", -omega, 1.0 / a1, -a1 * alpha))
         aux = pref * quot * GammaSymbol.power(delta, 0.0, -1.0) * sym
         chain = (Reflect(), Multiplier(aux, "double-laplace-core", (alpha, beta)),
                  *steps, Dilate(delta))
@@ -680,7 +641,7 @@ def plan_factorization(params: HParams, nu: float, r: float) -> FactorizationPla
                 num=(((-a1 * alpha - omega), a1),),
                 den=((complex(-a1 * alpha), a1), (complex(-a1 * alpha), a1)),
             )
-            steps = (LaplaceOp(a1, alpha), EKRight(-omega, 1.0 / a1, -a1 * alpha))
+            steps = (LaplaceOp(a1, alpha), EK("right", -omega, 1.0 / a1, -a1 * alpha))
         aux = pref * quot * GammaSymbol.power(delta, 0.0, -1.0) * sym
         chain = (Reflect(), Multiplier(aux, "laplace-core", (alpha, beta)), Reflect(),
                  *steps, Dilate(delta))
@@ -835,8 +796,12 @@ def htransform_direct(params: HParams, f, xs, space: SpaceSpec,
     )
 
 
-def htransform_mellin(params: HParams, f, xs, space: SpaceSpec,
-                      tol: float = 1e-10) -> TransformResult:
+# tolerances of the multiplier route's inversion and of the representation
+# route's direct integrals
+_MELLIN_TOL, _REPR_TOL = 1e-10, 1e-8
+
+
+def htransform_mellin(params: HParams, f, xs, space: SpaceSpec) -> TransformResult:
     """Transform as inverse Mellin of symbol(s) * (M f)(1-s) on Re s = 1 - nu."""
     inv = derive_invariants(params)
     ok, reason = admissible_range(inv, space, "definition")
@@ -855,7 +820,7 @@ def htransform_mellin(params: HParams, f, xs, space: SpaceSpec,
     def F(s):
         return sym.eval(s) * f.mellin(1.0 - s)
 
-    vals, err = mellin_inverse_numeric(F, 1.0 - space.nu, xs, tol=tol)
+    vals, err = mellin_inverse_numeric(F, 1.0 - space.nu, xs, tol=_MELLIN_TOL)
     vals = np.atleast_1d(np.asarray(vals))
     return TransformResult(
         xs=xs_arr, values=vals, route="mellin",
@@ -865,21 +830,16 @@ def htransform_mellin(params: HParams, f, xs, space: SpaceSpec,
 
 
 def _augmented_params(params: HParams, lam: complex, h: float, variant: str) -> HParams:
-    up = list(params.upper)
-    lo = list(params.lower)
+    up, lo = list(params.upper), list(params.lower)
     if variant == "raise-upper":
-        up2 = [(-lam, h)] + up
-        lo2 = lo + [(-lam - 1.0, h)]
         return validate_params(params.m, params.n + 1, params.p + 1, params.q + 1,
-                               up2, lo2)
-    up2 = up + [(-lam, h)]
-    lo2 = [(-lam - 1.0, h)] + lo
+                               [(-lam, h)] + up, lo + [(-lam - 1.0, h)])
     return validate_params(params.m + 1, params.n, params.p + 1, params.q + 1,
-                           up2, lo2)
+                           up + [(-lam, h)], [(-lam - 1.0, h)] + lo)
 
 
 def htransform_repr(params: HParams, f, lam: complex, h: float, xs,
-                    space: SpaceSpec, tol: float = 1e-8) -> TransformResult:
+                    space: SpaceSpec) -> TransformResult:
     """Differentiated representation with an augmented kernel.
 
     The kernel gains one upper and one lower pair built from (lambda, h);
@@ -897,7 +857,7 @@ def htransform_repr(params: HParams, f, lam: complex, h: float, xs,
     sign = 1.0 if variant == "raise-upper" else -1.0
     aug = _augmented_params(params, lam, h, variant)
     try:
-        probe = htransform_direct(aug, f, [], space, tol)
+        probe = htransform_direct(aug, f, [], space, _REPR_TOL)
     except HypothesisError as exc:
         raise HypothesisError(
             "augmented kernel inadmissible for direct evaluation", str(exc)
@@ -909,14 +869,14 @@ def htransform_repr(params: HParams, f, lam: complex, h: float, xs,
         xs_arr * (1.0 + d0), xs_arr * (1.0 - d0),
         xs_arr * (1.0 + d0 / 2), xs_arr * (1.0 - d0 / 2),
     ])
-    g_res = htransform_direct(aug, f, stencil, space, tol)
+    g_res = htransform_direct(aug, f, stencil, space, _REPR_TOL)
     gv = g_res.values.reshape(4, xs_arr.size)
     phi = np.exp(c * np.log(stencil.reshape(4, xs_arr.size))) * gv
     d_coarse = (phi[0] - phi[1]) / (2.0 * d0 * xs_arr)
     d_fine = (phi[2] - phi[3]) / (d0 * xs_arr)
     deriv = (4.0 * d_fine - d_coarse) / 3.0
     values = sign * h * np.exp((1.0 - c) * np.log(xs_arr)) * deriv
-    errs = np.abs(d_fine - d_coarse) * np.abs(h * xs_arr ** (1.0 - c.real)) + tol
+    errs = np.abs(d_fine - d_coarse) * np.abs(h * xs_arr ** (1.0 - c.real)) + _REPR_TOL
     return TransformResult(
         xs=xs_arr, values=values, route="repr", error_estimates=errs,
         admissibility={"representation": (True, variant)},

@@ -14,6 +14,7 @@ the boundaries are structural rather than numerical.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import json
 import math
@@ -24,18 +25,6 @@ from typing import Optional, Sequence
 from .errors import OutOfTheoryError, ParameterError
 
 _SIGN_TOL = 1e-12
-
-CASE_DESCRIPTIONS = {
-    1: "balanced, neutral symbol (a*=0, Delta=0, Re mu = 0)",
-    2: "balanced symbol with algebraic decay (a*=0, Delta=0, Re mu < 0)",
-    3: "oscillatory, Hankel type (a*=0, Delta>0)",
-    4: "oscillatory, mirrored Hankel type (a*=0, Delta<0)",
-    5: "double Laplace type (a1*>0, a2*>0)",
-    6: "one-sided Laplace type (a1*>0, a2*=0)",
-    7: "mirrored one-sided Laplace type (a1*=0, a2*>0)",
-    8: "Laplace-Hankel type (a*>0, a1*>0, a2*<0)",
-    9: "mirrored Laplace-Hankel type (a*>0, a1*<0, a2*>0)",
-}
 
 
 @dataclass(frozen=True)
@@ -69,26 +58,20 @@ class HParams:
         return [w for _, w in self.lower]
 
 
-def _coerce_pairs(pairs, exacts=None):
-    out = []
-    ex = []
-    for k, pair in enumerate(pairs):
-        c, w = pair
-        wf = float(w)
-        out.append((complex(c), wf))
-        if exacts is not None and exacts[k] is not None:
-            ex.append(exacts[k])
-        elif isinstance(w, Fraction):
-            ex.append(w)
-        else:
-            ex.append(None)
-    return tuple(out), tuple(ex)
+def _coerce_pairs(pairs):
+    """(complex offset, float weight) pairs and the weights given as Fractions."""
+    pairs = [(complex(c), w) for c, w in pairs]
+    return (tuple((c, float(w)) for c, w in pairs),
+            tuple(w if isinstance(w, Fraction) else None for _, w in pairs))
 
 
 def validate_params(m: int, n: int, p: int, q: int,
-                    upper: Sequence, lower: Sequence,
-                    upper_exact=None, lower_exact=None) -> HParams:
-    """Check order and weight constraints; reject with a distinct diagnostic."""
+                    upper: Sequence, lower: Sequence) -> HParams:
+    """Check order and weight constraints; reject with a distinct diagnostic.
+
+    A weight given as a Fraction is also kept exactly, for the sign tests
+    at the case boundaries.
+    """
     for name, v in (("m", m), ("n", n), ("p", p), ("q", q)):
         if not isinstance(v, int) or v < 0:
             raise ParameterError(f"order {name} must be a non-negative integer")
@@ -100,11 +83,13 @@ def validate_params(m: int, n: int, p: int, q: int,
         raise ParameterError(f"length mismatch: expected {p} upper pairs, got {len(upper)}")
     if len(lower) != q:
         raise ParameterError(f"length mismatch: expected {q} lower pairs, got {len(lower)}")
-    up, upx = _coerce_pairs(upper, upper_exact)
-    lo, lox = _coerce_pairs(lower, lower_exact)
-    for _, w in up + lo:
+    up, upx = _coerce_pairs(upper)
+    lo, lox = _coerce_pairs(lower)
+    for c, w in up + lo:
         if not (w > 0.0) or not math.isfinite(w):
             raise ParameterError("non-positive weight")
+        if not cmath.isfinite(c):
+            raise ParameterError(f"non-finite offset {c}")
     return HParams(m, n, p, q, up, lo, upx, lox)
 
 
@@ -170,10 +155,7 @@ def derive_invariants(params: HParams) -> Invariants:
     delta_cap = a1 - a2
 
     a1x = a2x = None
-    if all(x is not None for x in params.lower_exact[:m]) and \
-       all(x is not None for x in params.upper_exact[n:]) and \
-       all(x is not None for x in params.upper_exact[:n]) and \
-       all(x is not None for x in params.lower_exact[m:]):
+    if None not in params.upper_exact + params.lower_exact:
         a1x = sum(params.lower_exact[:m], Fraction(0)) - sum(params.upper_exact[n:], Fraction(0))
         a2x = sum(params.upper_exact[:n], Fraction(0)) - sum(params.lower_exact[m:], Fraction(0))
 
@@ -188,11 +170,7 @@ def derive_invariants(params: HParams) -> Invariants:
         + _sorted_sum(b_off[:m]) - _sorted_sum(b_off[m:])
     )
     alpha_low = max((-c.real / w for (c, w) in params.lower[:m]), default=-math.inf) + 0.0
-    if m == 0:
-        alpha_low = -math.inf
     beta_high = min(((1.0 - c.real) / w for (c, w) in params.upper[:n]), default=math.inf) + 0.0
-    if n == 0:
-        beta_high = math.inf
 
     log_front = c_star * math.log(2.0 * math.pi)
     log_front += _sorted_sum_real([(0.5 - c.real) * math.log(w) for (c, w) in params.upper])
@@ -315,12 +293,12 @@ def transpose_params(params: HParams) -> HParams:
     swap to (n, m, q, p) and every pair (c, w) maps to (1 - c - w, w) on the
     opposite row.  Mirrored-case factorizations are built through it.
     """
-    new_upper = [((1.0 - c - w), w) for (c, w) in params.lower]
-    new_lower = [((1.0 - c - w), w) for (c, w) in params.upper]
-    return validate_params(
-        params.n, params.m, params.q, params.p,
-        new_upper, new_lower, list(params.lower_exact), list(params.upper_exact),
-    )
+    def flipped(pairs, exact):
+        return [(1.0 - c - w, w if x is None else x) for (c, w), x in zip(pairs, exact)]
+
+    return validate_params(params.n, params.m, params.q, params.p,
+                           flipped(params.lower, params.lower_exact),
+                           flipped(params.upper, params.upper_exact))
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +306,7 @@ def transpose_params(params: HParams) -> HParams:
 # ---------------------------------------------------------------------------
 
 def _parse_weight(w):
-    if isinstance(w, str):
-        return Fraction(w)
-    return w
+    return Fraction(w) if isinstance(w, str) else float(w)
 
 
 def params_from_json(data) -> HParams:
@@ -342,25 +318,11 @@ def params_from_json(data) -> HParams:
         data = json.loads(data)
     try:
         m, n, p, q = (int(data[k]) for k in ("m", "n", "p", "q"))
-        upper_raw = data.get("upper", [])
-        lower_raw = data.get("lower", [])
-    except (KeyError, TypeError, ValueError) as exc:
+        upper, lower = ([(complex(float(re), float(im)), _parse_weight(w))
+                         for re, im, w in data.get(row, [])] for row in ("upper", "lower"))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParameterError(f"malformed parameter object: {exc}") from None
-    upper = []
-    upper_exact = []
-    for row in upper_raw:
-        re, im, w = row
-        wv = _parse_weight(w)
-        upper.append((complex(float(re), float(im)), float(wv)))
-        upper_exact.append(wv if isinstance(wv, Fraction) else None)
-    lower = []
-    lower_exact = []
-    for row in lower_raw:
-        re, im, w = row
-        wv = _parse_weight(w)
-        lower.append((complex(float(re), float(im)), float(wv)))
-        lower_exact.append(wv if isinstance(wv, Fraction) else None)
-    return validate_params(m, n, p, q, upper, lower, upper_exact, lower_exact)
+    return validate_params(m, n, p, q, upper, lower)
 
 
 def params_to_json(params: HParams) -> dict:

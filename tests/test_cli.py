@@ -90,13 +90,32 @@ def test_transform_violating_plan_exits_2(capsys):
 
 
 @pytest.mark.parametrize("route", ["direct", "mellin", "plan"])
-@pytest.mark.parametrize("x", ["0", "-2", "nan", "inf"])
+@pytest.mark.parametrize("x", ["0", "-2", "nan", "inf", "abc"])
 def test_transform_bad_x_exits_64(capsys, route, x):
     code, out, err = run(capsys, "transform", "--params", EXP_PARAMS,
                          "--nu", "0.5", "--r", "2", "--f", "exp",
                          f"--x={x}", "--route", route)
     assert code == 64
     assert out == "" and "usage-error: x must be positive" in err
+
+
+@pytest.mark.parametrize("lower, f", [
+    ("[[0,1]]", "exp"),
+    ('[[0,0,"x/y"]]', "exp"),
+    ('[[0,0,"1/0"]]', "exp"),
+    ("[[NaN,0,1]]", "exp"),
+    ("[[0,Infinity,1]]", "exp"),
+    ("[[0,0,1]]", "tpow:abc"),
+    ("[[0,0,1]]", "tpow:nan"),
+    ("[[0,0,1]]", "tpow:inf"),
+])
+def test_malformed_parameters_and_test_functions_exit_64(capsys, lower, f):
+    # a malformed row, weight or offset, or a non-numeric or non-finite c
+    params = '{"m":1,"n":0,"p":0,"q":1,"upper":[],"lower":%s}' % lower
+    code, out, err = run(capsys, "transform", "--params", params, "--nu", "0.5",
+                         "--r", "2", "--f", f, "--x", "1", "--route", "mellin")
+    assert code == 64
+    assert out == "" and err.startswith("usage-error: ")
 
 
 def test_zeros_exceptional(capsys):

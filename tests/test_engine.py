@@ -14,6 +14,7 @@ from scipy.special import exp1
 from foxh import (
     DivergentIntegralError,
     FoxHError,
+    GammaSymbol,
     HypothesisError,
     NumericalError,
     ParameterError,
@@ -38,12 +39,16 @@ from foxh import (
 from foxh import gammasym
 from foxh.engine import (
     VERIFY_POINTS,
-    EKLeft,
-    EKRight,
+    EK,
+    Dilate,
     HankelOp,
     LaplaceOp,
     LiveFunction,
     LogGrid,
+    Multiplier,
+    PowerWeight,
+    Reflect,
+    _dry_run_spaces,
     chain_action,
     tabulate,
 )
@@ -155,12 +160,12 @@ def test_mellin_action_matches_closed_forms(rng):
         kap = rng.choice([-1.0, 1.0]) * rng.uniform(0.4, 2.5)
         s = complex(rng.uniform(-1.0, 2.0), rng.uniform(-3.0, 3.0))
 
-        sym, a, b = EKLeft(alpha, sigma, eta).mellin_action()
+        sym, a, b = EK("left", alpha, sigma, eta).mellin_action()
         assert (a, b) == (0.0, 1.0)
         assert _log_ratio_close(sym.eval_log(s), log_gamma(1 + eta - s / sigma)
                                 - log_gamma(1 + eta + alpha - s / sigma))
 
-        sym, a, b = EKRight(alpha, sigma, eta).mellin_action()
+        sym, a, b = EK("right", alpha, sigma, eta).mellin_action()
         assert (a, b) == (0.0, 1.0)
         assert _log_ratio_close(sym.eval_log(s), log_gamma(eta + s / sigma)
                                 - log_gamma(eta + alpha + s / sigma))
@@ -177,6 +182,81 @@ def test_mellin_action_matches_closed_forms(rng):
         arg = kap * (s - (alpha - 1.0))
         assert _log_ratio_close(sym.eval_log(s), log_gamma(arg)
                                 + (1 - arg) * math.log(abs(kap)))
+
+
+def _step_and_conditions(rng, kind):
+    """A random EK, Laplace or Hankel step with its space conditions in the
+    paper's closed forms: (step, r, [(edge of nu, holds(nu))])."""
+    eta = complex(rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0))
+    kap = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0)
+    r = rng.uniform(1.1, 5.0)
+    if kind in ("left", "right"):
+        sigma = rng.uniform(0.2, 3.0)
+        step = EK(kind, complex(rng.uniform(0.1, 2.0), rng.uniform(-1.0, 1.0)), sigma, eta)
+        if kind == "left":
+            edge = sigma * (1.0 + eta.real)
+            return step, r, [(edge, lambda nu: nu < edge)]
+        edge = -sigma * eta.real
+        return step, r, [(edge, lambda nu: nu > edge)]
+    if kind == "laplace":
+        return LaplaceOp(kap, eta), r, [
+            (1.0 - eta.real, lambda nu: kap * (1.0 - nu - eta.real) > 0)]
+    gamma_r = SpaceSpec(0.0, r).gamma_r
+    return HankelOp(kap, eta), r, [
+        ((eta.real + 1.0) / kap + 0.5, lambda nu: kap * (nu - 0.5) + 0.5 < eta.real + 1.5),
+        ((gamma_r - 0.5) / kap + 0.5, lambda nu: gamma_r <= kap * (nu - 0.5) + 0.5),
+    ]
+
+
+def test_step_space_checks_match_the_closed_forms(rng):
+    # check_space reads the condition off the step's Mellin action; it must
+    # raise exactly where the closed forms fail, on lines at least 1e-9 from
+    # every edge, and the chain check must name the step's position
+    for trial in range(4000):
+        kind = ("left", "right", "laplace", "hankel")[trial % 4]
+        step, r, conds = _step_and_conditions(rng, kind)
+        edge = conds[trial % len(conds)][0]
+        nu = edge + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9.0, 0.5)
+        if min(abs(nu - e) for e, _ in conds) < 1e-9:
+            continue
+        chain = (Dilate(2.0), step)
+        if all(holds(nu) for _, holds in conds):
+            step.check_space(nu, r)
+            _dry_run_spaces(chain, nu, r)
+        else:
+            with pytest.raises(HypothesisError):
+                step.check_space(nu, r)
+            with pytest.raises(HypothesisError, match=rf"^chain position 1 \({step.kind}\): "):
+                _dry_run_spaces(chain, nu, r)
+
+
+def test_ek_space_check_needs_re_alpha_positive():
+    with pytest.raises(HypothesisError, match=r"Re\(alpha\) > 0"):
+        EK("right", -0.5 + 1j, 1.0, 1.0).check_space(0.5, 2.0)
+
+
+def test_describe_is_kind_and_fields():
+    # complex fields as [re, im], also when they hold a float; symbols
+    # through to_json; EK.side and Multiplier.strip left out
+    sym = GammaSymbol(num=((0.5 + 0.25j, 1.0),), den=((1.5 + 0j, -2.0),),
+                      powers=((2.0, 0.5 + 0j, -1.0 + 0j),))
+    cases = [
+        (Reflect(), {"op": "reflect"}),
+        (PowerWeight(-0.75), {"op": "power-weight", "zeta": [-0.75, 0.0]}),
+        (Dilate(2.5), {"op": "dilate", "factor": 2.5}),
+        (Multiplier(sym, "core", (0.0, 1.0)),
+         {"op": "multiplier", "label": "core",
+          "symbol": {"num": [[0.5, 0.25, 1.0]], "den": [[1.5, 0.0, -2.0]],
+                     "powers": [[2.0, 0.5, 0.0, -1.0, 0.0]]}}),
+        (EK("left", 1.5 + 0.5j, 2.0, -0.25 + 0.125j),
+         {"op": "ek-left", "alpha": [1.5, 0.5], "sigma": 2.0, "eta": [-0.25, 0.125]}),
+        (EK("right", 0.5, 1.0, 0.75j),
+         {"op": "ek-right", "alpha": [0.5, 0.0], "sigma": 1.0, "eta": [0.0, 0.75]}),
+        (HankelOp(-1.5, 0.5 - 2j), {"op": "hankel", "index": -1.5, "order": [0.5, -2.0]}),
+        (LaplaceOp(1.25, 0.25), {"op": "laplace", "index": 1.25, "offset": [0.25, 0.0]}),
+    ]
+    for step, want in cases:
+        assert step.describe() == want
 
 
 def test_verify_plan_symbol_on_random_plans(rng):

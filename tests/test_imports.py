@@ -5,10 +5,12 @@ tests/*.py; the package's __init__.py imports its public API in order to
 re-export it and is exempt.  The private-name scan takes every module-level
 name with a leading underscore (dunders aside) defined in src/foxh/*.py and
 looks for a read of it, as a name, an attribute or an import, in any file of
-src/, tests/ or perfbench/.  The option scan takes every keyword-only
-parameter with a default on a function in src/foxh/*.py and looks for a call
-of a function of that name, in the same three trees, that passes it by name:
-an option that no caller sets is a constant.  The gamma-call scan fails on a
+src/, tests/ or perfbench/.  The option scan takes every parameter with a
+default on a function in src/foxh/*.py (a class's __init__ under the class's
+name) and looks for a call of a function of that name, in the same three
+trees, that passes it by name or, if it can be given by position, passes at
+least as many positional arguments as reach it: an option that no caller
+sets is a constant.  The gamma-call scan fails on a
 call of log_gamma or digamma inside a comprehension in src/foxh/*.py: both
 take arrays, and one array call costs about what one scalar call does.
 """
@@ -91,13 +93,34 @@ def test_no_unread_private_names():
 
 
 def keyword_options(path: Path) -> set:
-    """(function, parameter) for every keyword-only parameter with a default."""
+    """(function, parameter, index) for every parameter with a default.
+
+    index is the parameter's place among a call's positional arguments,
+    self or cls not counted in a method; None for keyword-only ones.
+    """
     found = set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
-                if default is not None:
-                    found.add((node.name, arg.arg))
+
+    def visit(node, cls=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                name = cls if child.name == "__init__" else child.name
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in child.decorator_list)
+                bound = int(cls is not None and not static)
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                for i, arg in enumerate(positional[first:], start=first):
+                    found.add((name, arg.arg, i - bound))
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        found.add((name, arg.arg, None))
+            visit(child)
+
+    visit(ast.parse(path.read_text(), filename=str(path)))
     return found
 
 
@@ -107,12 +130,18 @@ def call_name(node: ast.Call):
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
-def keywords_passed(path: Path) -> set:
-    """(function, keyword) for every call that passes an argument by name."""
+def arguments_passed(path: Path) -> set:
+    """(function, keyword) for every call that passes an argument by name,
+    and (function, i) for every positional index i < len(args) of a call;
+    a call that unpacks *args passes every index, as (function, None)."""
     passed = set()
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Call):
-            passed |= {(call_name(node), kw.arg) for kw in node.keywords if kw.arg is not None}
+            name = call_name(node)
+            passed |= {(name, kw.arg) for kw in node.keywords if kw.arg is not None}
+            passed |= {(name, i) for i in range(len(node.args))}
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                passed.add((name, None))
     return passed
 
 
@@ -120,11 +149,17 @@ def test_every_keyword_option_is_passed():
     passed = set()
     for tree in ("src", "tests", "perfbench"):
         for path in (ROOT / tree).rglob("*.py"):
-            passed |= keywords_passed(path)
+            passed |= arguments_passed(path)
+
+    def is_set(fn, arg, index):
+        return (fn, arg) in passed or index is not None and (
+            (fn, index) in passed or (fn, None) in passed)
+
     found = {
-        str(path.relative_to(ROOT)): sorted(f"{fn}({arg}=)" for fn, arg in unset)
+        str(path.relative_to(ROOT)): unset
         for path in sorted((ROOT / "src" / "foxh").glob("*.py"))
-        if (unset := keyword_options(path) - passed)
+        if (unset := sorted(f"{fn}({arg}=)" for fn, arg, index in keyword_options(path)
+                            if not is_set(fn, arg, index)))
     }
     assert found == {}
 
