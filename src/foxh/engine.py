@@ -30,7 +30,9 @@ from typing import Optional
 import numpy as np
 
 from .classical import (
+    _TABLE_STEP,
     Support,
+    _lagrange8,
     TestFunction,
     ek_fractional,
     hankel_mod,
@@ -73,49 +75,56 @@ class LiveFunction:
     cost records how expensive a single evaluation is (0: closed form,
     1: a matrix product or a quadrature); integral operators tabulate
     costly inputs before sampling them thousands of times.
-    support is the function's Support record, with fn's hard edges.
+    support is fn's own Support record where fn keeps one, so every wrapper
+    of fn shares its probes; else a fresh record without hard edges.
     """
 
     def __init__(self, fn, nu: float, cost: int = 0):
         self._fn = fn
         self.nu = float(nu)
         self.cost = cost
-        self.support = Support(self, support_of(fn).hard)
+        rec = getattr(fn, "support", None)
+        self.support = rec if isinstance(rec, Support) else Support(self)
 
     def __call__(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return np.asarray(self._fn(x), dtype=complex)
 
 
-_LAGRANGE_W8 = np.array([-1.0, 7.0, -21.0, 35.0, -35.0, 21.0, -7.0, 1.0])
-
-
 # tabulate's grid reaches this far in log x past its support window
 _TABLE_MARGIN = 2.5
-# tabulate's default lattice step in log x
-_TABLE_STEP = 0.05
 
 
 class LogGrid(LiveFunction):
     """A function's samples on a uniform lattice in tau = log t.
 
-    taus (np.arange steps of h) carry values; the table reaches up to hi.
-    Calling it interpolates the samples by centered 8-point barycentric
+    The samples sit at taus = t0 + h * arange(n); the table reaches up to
+    hi.  Calling it interpolates the samples by centered 8-point barycentric
     interpolation in log x (error O(h^8) for smooth data) and returns zero
-    outside [taus[0], hi].  Steps that can work on the lattice itself read
-    taus and values instead.
+    outside [t0, hi].  Steps that can work on the lattice itself read taus
+    and values (complex) instead.  Real samples are kept as floats, so such
+    a table holds 8 bytes a point.
     """
 
-    def __init__(self, taus, values, h: float, hi: float, nu: float):
-        self.taus, self.values, self.h, self.hi = taus, values, h, hi
+    def __init__(self, t0: float, h: float, values, hi: float, nu: float):
+        values = np.asarray(values, dtype=complex)
+        self._samples = values if np.any(values.imag) else values.real.copy()
+        self._t0, self.h, self.hi = t0, h, hi
         super().__init__(self._interpolate, nu, cost=0)
 
+    @property
+    def taus(self) -> np.ndarray:
+        return self._t0 + self.h * np.arange(self._samples.size)
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._samples.astype(complex)
+
     def _interpolate(self, x):
-        taus, vals, h, n = self.taus, self.values, self.h, self.taus.size
+        t_lo, h, n = self._t0, self.h, self._samples.size
         out = np.zeros(x.shape, dtype=complex)
         if n == 0:
             return out
-        t_lo = taus[0]
         with np.errstate(divide="ignore", invalid="ignore"):
             tx = np.where(x > 0, np.log(np.where(x > 0, x, 1.0)), -np.inf)
         inside = (tx >= t_lo) & (tx <= self.hi - h * 1e-9)
@@ -123,20 +132,8 @@ class LogGrid(LiveFunction):
             return out
         pos = (tx[inside] - t_lo) / h
         base = np.clip(np.floor(pos).astype(int) - 3, 0, n - 8)
-        frac = pos - base
         idx = base[:, None] + np.arange(8)[None, :]
-        vv = vals[idx]
-        d = frac[:, None] - np.arange(8)[None, :]
-        exact = np.abs(d) < 1e-12
-        d = np.where(exact, 1.0, d)
-        w = _LAGRANGE_W8[None, :] / d
-        num = np.sum(w * vv, axis=1)
-        den = np.sum(w, axis=1)
-        res = num / den
-        hit = exact.any(axis=1)
-        if hit.any():
-            res[hit] = vv[exact].reshape(-1)
-        out[inside] = res
+        out[inside] = _lagrange8(pos - base, self._samples[idx].astype(complex))
         return out
 
 
@@ -153,13 +150,13 @@ def tabulate(live: LiveFunction, *, h: float = _TABLE_STEP,
     rec = support_of(live)
     wins = [w for w in (rec.window(0.0, floor), rec.window(weight, floor)) if w is not None]
     if not wins:
-        return LogGrid(np.zeros(0), np.zeros(0, dtype=complex), h, -np.inf, live.nu)
+        return LogGrid(0.0, h, np.zeros(0), -np.inf, live.nu)
     t_lo = min(w[0] for w in wins) - _TABLE_MARGIN
     t_hi = max(w[1] for w in wins) + _TABLE_MARGIN
     # as many points as np.arange(t_lo, t_hi + h, h), but placed exactly at
     # t_lo + i h, where the interpolant looks for them
     taus = t_lo + h * np.arange(math.ceil((t_hi + h - t_lo) / h))
-    return LogGrid(taus, live(np.exp(taus)), h, t_hi, live.nu)
+    return LogGrid(t_lo, h, live(np.exp(taus)), t_hi, live.nu)
 
 
 def _integral_step(prim, live: LiveFunction, op, *args) -> LiveFunction:
@@ -186,8 +183,8 @@ def _laplace_on_grid(kappa: float, alpha, grid: LogGrid, nu: float) -> LiveFunct
     """
     a1 = 1.0 - complex(alpha)
     re_a, im_a, ak = a1.real, a1.imag, abs(kappa)
-    taus = grid.taus
-    vals = np.where(np.isfinite(grid.values), grid.values, 0.0)
+    taus, vals = grid.taus, grid.values
+    vals = np.where(np.isfinite(vals), vals, 0.0)
     if im_a:
         vals = vals * np.exp(1j * im_a * taus)
     # complex samples as (n, 2) real pairs: the product keeps real weights

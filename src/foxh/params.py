@@ -317,7 +317,11 @@ def params_from_json(data) -> HParams:
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
     try:
-        m, n, p, q = (int(data[k]) for k in ("m", "n", "p", "q"))
+        orders = [data[k] for k in ("m", "n", "p", "q")]
+        # a bool or a non-integral number is no order (int() would take it)
+        if not all(type(v) is int or type(v) is float and v.is_integer() for v in orders):
+            raise ParameterError(f"orders m, n, p, q must be integers, got {orders}")
+        m, n, p, q = (int(v) for v in orders)
         upper, lower = ([(complex(float(re), float(im)), _parse_weight(w))
                          for re, im, w in data.get(row, [])] for row in ("upper", "lower"))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

@@ -23,7 +23,7 @@ from foxh import (
     mellin_inverse_numeric,
     mellin_numeric,
 )
-from foxh.classical import _line_rule, mellin_line_samples, support_of
+from foxh.classical import _ek_taps, _line_rule, mellin_line_samples, support_of
 from foxh.engine import Dilate, LiveFunction, PowerWeight, Reflect, tabulate
 from foxh.gammasym import GammaSymbol
 
@@ -409,6 +409,58 @@ def test_ek_left_window_reaches_dead_lower_edge():
     grid = GridFunction(t, t ** c)
     ref = sigma * (1.0 - math.exp(-50.0 * a)) / a
     assert abs(ek_fractional("left", 1.0, sigma, eta, grid, 1.0) - ref) < 1e-4 * ref
+
+
+def test_ek_truncated_power_hard_edge():
+    # f = 1 on (0, 1), alpha = sigma = 1: right, eta = 1, gives
+    # x int_x^1 t^-2 dt = 1 - x; left, eta = 0, gives (1/x) int_0^1 dt = 1/x.
+    # The right tail's table crosses the edge tau = 0, where its cells take
+    # one-sided stencils; the left tail starts above the edge
+    f = TestFunction.builtin("tpow:0")
+    assert abs(ek_fractional("right", 1.0, 1.0, 1.0, f, 0.3) - 0.7) < 1e-10
+    assert abs(ek_fractional("left", 1.0, 1.0, 0.0, f, 3.0) - 1.0 / 3.0) < 1e-10
+
+
+def test_ek_defect_draw_against_mpmath():
+    # the right-side draw whose c sits 0.0064 below sigma eta (the benchmark's
+    # EK_DEFECT_DRAW), against mpmath on the defining integral in rho = log(t/x):
+    # sigma / Gamma(alpha) int e^{-sigma eta rho} (1 - e^{-sigma rho})^{alpha-1}
+    # f(x e^rho) d rho, split where p x e^rho = 1 and cut where it is 100
+    alpha, sigma, eta, c, p = 0.983264, 0.624674, 0.703551, 0.433132, 1.290695
+    f = TestFunction.power_exp(c, p)
+    with mpmath.workdps(20):
+        for tau in (-60.0, -10.0, -3.0, 0.0, 2.0):
+            x = mpmath.exp(tau)
+
+            def integrand(rho):
+                return (mpmath.exp(-sigma * eta * rho)
+                        * (-mpmath.expm1(-sigma * rho)) ** (alpha - 1)
+                        * (x * mpmath.exp(rho)) ** c * mpmath.exp(-p * x * mpmath.exp(rho)))
+
+            split = -tau - math.log(p)
+            end = split + math.log(100.0)
+            pts = [0, 1, split, end] if split > 1 else [0, 1, end]
+            ref = complex(sigma * mpmath.quad(integrand, pts) / mpmath.gamma(alpha))
+            val = ek_fractional("right", alpha, sigma, eta, f, math.exp(tau))
+            assert abs(val - ref) < 1e-10 * abs(ref), tau
+
+
+@pytest.mark.parametrize("rate, alpha, sigma", [
+    (1.3, 1.0, 0.8), (0.9, 0.6, 1.2), (2.1, 1.7 + 0.3j, 0.7), (0.4 - 0.2j, 0.9, 2.5),
+])
+def test_ek_taps_integrate_the_tail_kernel(rate, alpha, sigma):
+    # the interpolant of constant samples is the constant, so the taps (near
+    # ones plus far q^d from D on) sum to the kernel's integral over the tail
+    h = 0.05
+    taps = _ek_taps(complex(rate), complex(alpha), sigma, h)
+    big_d = taps.d0 + taps.near.size
+    total = np.sum(taps.near) + taps.far * taps.q ** big_d / (1.0 - taps.q)
+    rho_s = math.log(2.0) / sigma
+    with mpmath.workdps(20):
+        ref = complex(mpmath.quad(
+            lambda r: mpmath.exp(-rate * r) * (-mpmath.expm1(-sigma * r)) ** (alpha - 1),
+            [rho_s, rho_s + 5, mpmath.inf]))
+    assert abs(total - ref) < 1e-13 * abs(ref)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

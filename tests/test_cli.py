@@ -166,6 +166,14 @@ def test_usage_error_exit_64_on_bad_json(capsys):
     assert "usage-error" in err
 
 
+@pytest.mark.parametrize("m", ["1.7", "true"])
+def test_classify_non_integer_order_exits_64(capsys, m):
+    params = '{"m":%s,"n":0,"p":0,"q":1,"upper":[],"lower":[[0,0,1]]}' % m
+    code, out, err = run(capsys, "classify", "--params", params)
+    assert code == 64
+    assert out == "" and err.startswith("usage-error: ")
+
+
 def test_usage_error_exit_64_on_bad_grid(capsys):
     code, _, _ = run(capsys, "eval", "--params", EXP_PARAMS,
                      "--x-grid", "nonsense")

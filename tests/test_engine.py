@@ -1,6 +1,7 @@
 """Factorization plans, route agreement, representation route, bilinearity."""
 
 import dataclasses
+import functools
 import json
 import math
 import tracemalloc
@@ -37,6 +38,7 @@ from foxh import (
     verify_plan_symbol,
 )
 from foxh import gammasym
+from foxh.classical import Support
 from foxh.engine import (
     VERIFY_POINTS,
     EK,
@@ -637,6 +639,34 @@ def test_laplace_index_zero_and_nonpositive_argument_raise():
         laplace_mod(1.0, 0.3, F_TEXP, np.array([1.0, 0.0]))
     with pytest.raises(ParameterError, match="positive"):
         laplace_mod(-1.0, 0.3, F_TEXP, -2.0)
+
+
+def test_laplace_mod_probes_a_recorded_function_once():
+    # f keeps its own Support record, so every LiveFunction laplace_mod wraps
+    # it in shares the record's probes: after the first call, a call
+    # evaluates f once, at its table's points, and returns the same values
+    class Counting:
+        def __init__(self):
+            self.calls, self.sizes = 0, []
+
+        @functools.cached_property
+        def support(self):
+            return Support(self)
+
+        def __call__(self, t):
+            t = np.atleast_1d(t)
+            self.calls += 1
+            self.sizes.append(t.size)
+            return F_TEXP(t)
+
+    f = Counting()
+    x = [0.5, 1.3]
+    first = laplace_mod(1.2, 0.0, f, x)
+    probe_calls, table = f.calls, f.sizes[-1]
+    for _ in range(2):
+        assert np.array_equal(laplace_mod(1.2, 0.0, f, x), first)
+    assert f.calls == probe_calls + 2
+    assert f.sizes[probe_calls:] == [table, table]
 
 
 def test_laplace_grid_sum_memory_stays_below_dense_matrix():

@@ -13,9 +13,15 @@ least as many positional arguments as reach it: an option that no caller
 sets is a constant.  The gamma-call scan fails on a
 call of log_gamma or digamma inside a comprehension in src/foxh/*.py: both
 take arrays, and one array call costs about what one scalar call does.
+The import-cost scan runs `import foxh` in a fresh interpreter and fails if
+any scipy module got loaded: the package needs only numpy, and importing
+scipy.signal alone takes over a second.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -187,3 +193,12 @@ def test_no_gamma_call_per_comprehension_element():
         if (calls := gamma_calls_in_comprehensions(path))
     }
     assert found == {}
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, foxh; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

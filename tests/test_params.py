@@ -247,6 +247,19 @@ def test_json_malformed():
         params_from_json('{"m": 1}')
 
 
+@pytest.mark.parametrize("m", ["1.7", "true", "false", "\"1\"", "null"])
+def test_json_rejects_non_integer_orders(m):
+    # int() would read 1.7 and true as 1
+    blob = '{"m": %s, "n": 0, "p": 0, "q": 1, "upper": [], "lower": [[0, 0, 1]]}' % m
+    with pytest.raises(ParameterError, match="orders m, n, p, q must be integers"):
+        params_from_json(blob)
+
+
+def test_json_accepts_integral_float_orders():
+    blob = '{"m": 1.0, "n": 0, "p": 0, "q": 1, "upper": [], "lower": [[0, 0, 1]]}'
+    assert params_from_json(blob).m == 1
+
+
 # -- transposition ----------------------------------------------------------
 
 def test_transpose_symbol_reflects_argument(rng):
