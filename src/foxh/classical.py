@@ -39,7 +39,6 @@ from .quadrature import (
     jacobi_unit_interval,
     panel_sums,
     refine_line,
-    trapezoid_line,
     wynn_epsilon,
 )
 
@@ -192,7 +191,7 @@ class TestFunction:
             out = 1.0 / (s + self.c)
         return self.amplitude * out
 
-    def in_space(self, nu: float, r: float = 2.0) -> bool:
+    def in_space(self, nu: float) -> bool:
         if self.amplitude == 0:
             return True
         return nu + self.c > 0
@@ -344,44 +343,43 @@ def support_of(f) -> Support:
 # Numerical Mellin transform and inverse
 # ---------------------------------------------------------------------------
 
-def _quad_center(f, s) -> float:
-    if isinstance(f, TestFunction):
-        if f.family == "power-exp":
-            peak = max((np.real(s) + f.c) / f.p, 1e-3)
-            return math.log(peak)
-        if f.family == "gaussian":
-            peak = max((np.real(s) + f.c) / (2 * f.p), 1e-3)
-            return 0.5 * math.log(peak)
-    return 0.0
-
-
 _TRAP_BLOCK = 64  # trapezoid points per block of a line rule
 
 
-def _line_rule(f, nu: float, t_max: float):
-    """tau nodes for int f(e^tau) e^(s tau) dtau on Re s = nu, |Im s| <= t_max,
-    as (mid, off, weights): node g of block p is mid[p] + off[g] with weight
-    weights[p, g], ready for panel_sums.  The range is the record's window at
-    _NEGLIGIBLE, one lattice step wider on a soft side.  A range ending at a
-    hard edge takes equal Gauss-Legendre panels at most a unit wide, with
-    nodes for the oscillation e^(i t_max tau); any other the trapezoid grid
-    of step 2 pi / (t_max + 80), in blocks of _TRAP_BLOCK points, the last
-    padded with zero weights."""
+def _line_range(f, nu: float):
+    """(lo, hi, edged): the tau range on which |f(e^tau)| e^(nu tau) lives,
+    None if f vanishes.  It is the record's window at _NEGLIGIBLE, one
+    lattice step wider on a soft side; edged when it ends at a hard edge.
+    DivergentIntegralError if a side without a hard edge stays open."""
     sup = support_of(f)
     hard_lo, hard_hi = sup.hard
     # with both hard edges known f vanishes outside them, seen by the lattice or not
     win = sup.window(nu, _NEGLIGIBLE, _LINE_PROBES) if None in sup.hard \
         else sup.hard + (False, False)
     if win is None:
-        return np.zeros(0), np.zeros(0), np.zeros((0, 0))
+        return None
     lo, hi, open_lo, open_hi = win
     at_lo = hard_lo is not None and (open_lo or hard_lo >= lo - _LATTICE)
     at_hi = hard_hi is not None and (open_hi or hard_hi <= hi + _LATTICE)
     if (open_lo and not at_lo) or (open_hi and not at_hi):
         raise DivergentIntegralError("Mellin line integrand does not decay")
-    lo = hard_lo if at_lo else lo - _LATTICE
-    hi = hard_hi if at_hi else hi + _LATTICE
-    if at_lo or at_hi:
+    return (hard_lo if at_lo else lo - _LATTICE, hard_hi if at_hi else hi + _LATTICE,
+            at_lo or at_hi)
+
+
+def _line_rule(f, nu: float, t_max: float):
+    """tau nodes for int f(e^tau) e^(s tau) dtau on Re s = nu, |Im s| <= t_max,
+    as (mid, off, weights): node g of block p is mid[p] + off[g] with weight
+    weights[p, g], ready for panel_sums.  The range is _line_range's.  A
+    range ending at a hard edge takes equal Gauss-Legendre panels at most a
+    unit wide, with nodes for the oscillation e^(i t_max tau); any other the
+    trapezoid grid of step 2 pi / (t_max + 80), in blocks of _TRAP_BLOCK
+    points, the last padded with zero weights."""
+    rng = _line_range(f, nu)
+    if rng is None:
+        return np.zeros(0), np.zeros(0), np.zeros((0, 0))
+    lo, hi, edged = rng
+    if edged:
         mid, off, w = equal_panels(lo, hi, 1.0, 14 + int(math.ceil(0.5 * t_max)))
         return mid, off, np.broadcast_to(w, (mid.size, w.size))
     h = min(0.125, 2.0 * math.pi / (t_max + 80.0))
@@ -394,8 +392,10 @@ def _line_rule(f, nu: float, t_max: float):
 
 
 def mellin_numeric(f, s) -> complex:
-    """Mellin transform of f at a single point s: its line sample if f has a
-    hard edge, else by the adaptive trapezoid rule in tau."""
+    """Mellin transform of f at a single point s: its line sample
+    (mellin_line_samples), which reads f itself on the range of f's Support
+    record and splits at its hard edges.  A TestFunction is first checked
+    against its strip."""
     s = complex(s)
     if isinstance(f, TestFunction):
         lo, hi = f.mellin_strip()
@@ -403,15 +403,7 @@ def mellin_numeric(f, s) -> complex:
             raise DivergentIntegralError(
                 f"Mellin integral diverges at Re s = {s.real:g} (strip ({lo:g}, {hi:g}))"
             )
-    if support_of(f).hard != (None, None):
-        return complex(mellin_line_samples(f, [s])[0])
-
-    def g(tau):
-        t = np.exp(tau)
-        return np.asarray(f(t), dtype=complex) * np.exp(s * tau)
-
-    value, _ = trapezoid_line(g, tol=1e-11, center=_quad_center(f, s))
-    return value
+    return complex(mellin_line_samples(f, [s])[0])
 
 
 def mellin_line_samples(fn, s_nodes):
@@ -712,7 +704,9 @@ def ek_fractional(side: str, alpha, sigma: float, eta, f, x):
     39/(sigma h) near taps as dot products, the rest, where the kernel is
     exponential, as one geometric recursion.  The tail at x interpolates its
     lattice values.  Beside a hard edge of f's Support record f's
-    interpolant is one-sided, and 0 past the edge.
+    interpolant is one-sided, and 0 past the edge.  f is read as given, at
+    the head nodes and on the lattice, and nothing tabulates it first: a
+    chain's EK step hands its input straight here.
 
     The table ends at the record's edge toward the tail's end if that lies
     within _EK_MAX_REACH of the outputs.  Else it runs 100 / Re(rate) (at
@@ -966,41 +960,42 @@ def laplace_mod(kappa: float, alpha, f, x):
 # Weighted-space norms
 # ---------------------------------------------------------------------------
 
+# step in tau of the essential-sup norm's samples
+_SUP_STEP = 0.005
+
+
 def lnur_norm(f, nu: float, r: float) -> float:
     """Norm in the weighted space: (integral of |t^nu f|^r dt/t)^(1/r).
 
-    r = inf gives the essential-sup norm (probed on a dense log grid).
-    A divergent integral returns +inf rather than raising.  The integral is
-    the Mellin transform of |f|^r at s = r nu: by the adaptive trapezoid rule
-    in tau, or, if f's Support record has a hard edge, by its line sample,
-    which splits there.
+    The integral is the Mellin transform of |f|^r at s = r nu, its line
+    sample (mellin_line_samples) with f's hard edges.  r = inf gives the
+    essential-sup norm: the largest |t^nu f| at steps of _SUP_STEP in tau
+    on the range where the line sample at Re s = nu would read f.  A
+    divergent integral, or a side of |t^nu f| that never falls away,
+    returns +inf rather than raising.
     """
-    if math.isinf(r):
-        taus = np.linspace(-60.0, 60.0, 24001)
-        t = np.exp(taus)
-        vals = np.abs(np.asarray(f(t), dtype=complex)) * np.exp(nu * taus)
-        return float(np.max(vals))
     if r < 1.0:
         raise ParameterError("exponent r must be >= 1")
-
-    def g(tau, weight=nu):
-        """|f(e^tau)|^r e^(r weight tau), 0 where f vanishes."""
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            t = np.exp(tau)
-            mags = np.abs(np.asarray(f(t), dtype=complex))
-            out = np.exp(r * (np.log(np.where(mags > 0, mags, 1.0)) + weight * tau))
-        return np.where(mags > 0, out, 0.0)
-
-    hard = support_of(f).hard
     try:
-        if hard == (None, None):
-            value, _ = trapezoid_line(g, tol=1e-12)
-        else:
-            def mag(t):
-                return g(np.log(t), 0.0)
+        if math.isinf(r):
+            rng = _line_range(f, nu)
+            if rng is None:
+                return 0.0
+            lo, hi, _ = rng
+            taus = np.linspace(lo, hi, int(math.ceil((hi - lo) / _SUP_STEP)) + 1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = np.abs(np.asarray(f(np.exp(taus)), dtype=complex)) * np.exp(nu * taus)
+            return float(np.max(vals))
 
-            mag.support = Support(mag, hard)
-            value = mellin_line_samples(mag, [r * nu])[0]
+        def mag(t):
+            """|f(t)|^r, 0 where f vanishes."""
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                mags = np.abs(np.asarray(f(t), dtype=complex))
+                out = np.exp(r * np.log(np.where(mags > 0, mags, 1.0)))
+            return np.where(mags > 0, out, 0.0)
+
+        mag.support = Support(mag, support_of(f).hard)
+        value = mellin_line_samples(mag, [r * nu])[0]
     except (DivergentIntegralError, NumericalError):
         return math.inf
     return float(abs(value)) ** (1.0 / r)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Optional
 
 import numpy as np
 
@@ -72,17 +71,17 @@ _MULTIPLIER_HALF_HEIGHT, _MULTIPLIER_NODES = 48.0, 16
 class LiveFunction:
     """Vectorized callable on (0, inf) tagged with its space weight.
 
-    cost records how expensive a single evaluation is (0: closed form,
-    1: a matrix product or a quadrature); integral operators tabulate
-    costly inputs before sampling them thousands of times.
-    support is fn's own Support record where fn keeps one, so every wrapper
-    of fn shares its probes; else a fresh record without hard edges.
+    Nothing is tabulated on the way in: a step that reads its input at
+    many points decides that itself (HankelOp and LaplaceOp tabulate, EK
+    samples its input on its own lattice).  A third argument, once an
+    evaluation cost, is accepted and ignored.  support is fn's own Support
+    record where fn keeps one, so every wrapper of fn shares its probes;
+    else a fresh record without hard edges.
     """
 
-    def __init__(self, fn, nu: float, cost: int = 0):
+    def __init__(self, fn, nu: float, _ignored=None):
         self._fn = fn
         self.nu = float(nu)
-        self.cost = cost
         rec = getattr(fn, "support", None)
         self.support = rec if isinstance(rec, Support) else Support(self)
 
@@ -110,7 +109,7 @@ class LogGrid(LiveFunction):
         values = np.asarray(values, dtype=complex)
         self._samples = values if np.any(values.imag) else values.real.copy()
         self._t0, self.h, self.hi = t0, h, hi
-        super().__init__(self._interpolate, nu, cost=0)
+        super().__init__(self._interpolate, nu)
 
     @property
     def taus(self) -> np.ndarray:
@@ -159,12 +158,6 @@ def tabulate(live: LiveFunction, *, h: float = _TABLE_STEP,
     return LogGrid(t_lo, h, live(np.exp(taus)), t_hi, live.nu)
 
 
-def _integral_step(prim, live: LiveFunction, op, *args) -> LiveFunction:
-    """prim's output x -> op(*args, live, x), live tabulated first if costly."""
-    src = tabulate(live) if getattr(live, "cost", 0) >= 1 else live
-    return LiveFunction(lambda x: op(*args, src, x), _out_weight(prim, live.nu), cost=1)
-
-
 # outputs of the grid Laplace sum per block: its weights take _LAPLACE_ROWS x n
 _LAPLACE_ROWS = 64
 
@@ -210,7 +203,7 @@ def _laplace_on_grid(kappa: float, alpha, grid: LogGrid, nu: float) -> LiveFunct
             vals_x = vals_x * np.exp(1j * im_a * logx)
         return grid.h * vals_x.reshape(x.shape) / x
 
-    return LiveFunction(ev, nu, cost=1)
+    return LiveFunction(ev, nu)
 
 
 def _out_weight(prim, nu: float) -> float:
@@ -225,8 +218,8 @@ def _out_weight(prim, nu: float) -> float:
 
 def _carried(prim, live, fn, sign: float, shift: float = 0.0) -> LiveFunction:
     """prim's output fn(e^tau) = live(e^(sign tau + shift)) times a smooth
-    factor, as a LiveFunction of live's cost that carries live's hard edges."""
-    out = LiveFunction(fn, _out_weight(prim, live.nu), getattr(live, "cost", 0))
+    factor, as a LiveFunction that carries live's hard edges."""
+    out = LiveFunction(fn, _out_weight(prim, live.nu))
     ends = [None if e is None else sign * e + shift for e in support_of(live).hard]
     out.support = Support(out, ends if sign > 0 else ends[::-1])
     return out
@@ -309,8 +302,8 @@ class Dilate(_Step):
 @dataclass(frozen=True)
 class Multiplier(_Step):
     symbol: GammaSymbol
-    label: str = "multiplier"
-    strip: Optional[tuple] = field(default=None, metadata=_UNDESCRIBED)
+    label: str
+    strip: tuple = field(metadata=_UNDESCRIBED)
     kind = "multiplier"
 
     def mellin_action(self):
@@ -321,12 +314,9 @@ class Multiplier(_Step):
         # the convergence rule
         if not (1.0 < r < math.inf):
             raise HypothesisError("1 < r < inf", "multiplier transforms need it")
-        if self.strip is not None:
-            lo, hi = self.strip
-            if not (lo < nu < hi):
-                raise HypothesisError(
-                    "multiplier strip", f"need {lo:g} < {nu:g} < {hi:g}"
-                )
+        lo, hi = self.strip
+        if not (lo < nu < hi):
+            raise HypothesisError("multiplier strip", f"need {lo:g} < {nu:g} < {hi:g}")
 
     def apply(self, live: LiveFunction) -> LiveFunction:
         nu_c = live.nu
@@ -349,7 +339,7 @@ class Multiplier(_Step):
             vals = np.where(np.abs(vals) > 12.0 * floor, vals, 0.0)
             return np.where(np.abs(logx) <= horizon, vals, 0.0)
 
-        return LiveFunction(ev, _out_weight(self, nu_c), cost=1)
+        return LiveFunction(ev, _out_weight(self, nu_c))
 
 
 @dataclass(frozen=True)
@@ -380,8 +370,10 @@ class EK(_Step):
         super().check_space(nu, r)
 
     def apply(self, live: LiveFunction) -> LiveFunction:
-        return _integral_step(self, live, ek_fractional, self.side, self.alpha, self.sigma,
-                              self.eta)
+        # ek_fractional samples live on its own lattice and at its head nodes
+        return LiveFunction(
+            lambda x: ek_fractional(self.side, self.alpha, self.sigma, self.eta, live, x),
+            _out_weight(self, live.nu))
 
 
 @dataclass(frozen=True)
@@ -412,7 +404,10 @@ class HankelOp(_Step):
         super().check_space(nu, r)
 
     def apply(self, live: LiveFunction) -> LiveFunction:
-        return _integral_step(self, live, hankel_mod, self.index, self.order)
+        # hankel_mod reads its input at about 25k points per argument
+        src = tabulate(live)
+        return LiveFunction(lambda x: hankel_mod(self.index, self.order, src, x),
+                            _out_weight(self, live.nu))
 
 
 @dataclass(frozen=True)
@@ -737,7 +732,7 @@ def verify_plan_symbol(plan: FactorizationPlan, points=None) -> float:
 
 def apply_plan(plan: FactorizationPlan, f, xs) -> "TransformResult":
     """Apply the chain numerically, first element first."""
-    if isinstance(f, TestFunction) and not f.in_space(plan.nu, plan.r):
+    if isinstance(f, TestFunction) and not f.in_space(plan.nu):
         raise HypothesisError("f in weighted space", f"nu={plan.nu:g}, r={plan.r:g}")
     _dry_run_spaces(plan.chain, plan.nu, plan.r)
     xs_arr = positive_args(xs)
@@ -772,7 +767,7 @@ def htransform_direct(params: HParams, f, xs, space: SpaceSpec,
     ok, reason = admissible_range(inv, space, "direct-integral")
     if not ok:
         raise HypothesisError("direct route inadmissible", reason)
-    if isinstance(f, TestFunction) and not f.in_space(space.nu, space.r):
+    if isinstance(f, TestFunction) and not f.in_space(space.nu):
         raise HypothesisError("f in weighted space", f"nu={space.nu:g}")
     xs_arr = positive_args(xs)
     ktol = tol * 1e-2

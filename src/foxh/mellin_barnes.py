@@ -140,7 +140,7 @@ class KernelEvaluator:
     the kernel values; a coarser one estimates their error.
     """
 
-    def __init__(self, params: HParams, target_abs_err: float = 1e-11):
+    def __init__(self, params: HParams, target_abs_err: float):
         self.params = params
         self.inv = derive_invariants(params)
         self.target = target_abs_err
@@ -171,7 +171,7 @@ class KernelEvaluator:
 _EVALUATOR_CACHE: dict = {}
 
 
-def kernel_evaluator(params: HParams, target_abs_err: float = 1e-11) -> KernelEvaluator:
+def kernel_evaluator(params: HParams, target_abs_err: float) -> KernelEvaluator:
     key = (params, round(math.log10(target_abs_err), 3))
     ev = _EVALUATOR_CACHE.get(key)
     if ev is None:

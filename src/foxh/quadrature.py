@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DivergentIntegralError, NumericalError
 
-# trapezoid_line: initial step, sweep block, largest |tau - center|, halvings
+# trapezoid_line: initial step, sweep block, largest |tau|, halvings
 _STEP, _BLOCK, _MAX_SPAN, _MAX_HALVINGS = 0.5, 64, 900.0, 4
 # most Gauss-Legendre nodes one vertical line may carry
 NODE_BUDGET = 2_000_000
@@ -156,22 +156,20 @@ def refine_line(F, gamma: float, T: float, logx, nodes_per_unit: int, tol: float
     return fine, np.abs(fine - coarse)
 
 
-def _sweep(g, spacing: float, offset: float, center: float, tol: float):
-    """Sum of g over {center +- (offset + spacing*k), k >= 0}, times spacing.
+def _sweep(g, spacing: float, offset: float, tol: float):
+    """Sum of g over {+-(offset + spacing*k), k >= 0}, times spacing.
 
     Sweeps outward in blocks until the block maximum is negligible against
     the largest sample seen.  For offset == 0 the k=0 lattice point appears
     in both directions and is counted once; for offset > 0 the two
     directions interleave without overlap (together they tile the shifted
-    lattice center + offset + k*spacing).
+    lattice offset + k*spacing).
     """
     total, scale, amax = 0j, 0.0, 0.0
     k0 = 0
     while spacing * k0 < _MAX_SPAN:
         idx = np.arange(k0, k0 + _BLOCK)
-        taus = np.concatenate(
-            [center + offset + spacing * idx, center - offset - spacing * idx]
-        )
+        taus = np.concatenate([offset + spacing * idx, -offset - spacing * idx])
         vals = np.array(g(taus), dtype=complex)
         if k0 == 0 and offset == 0.0:
             vals[_BLOCK] = 0.0
@@ -181,7 +179,7 @@ def _sweep(g, spacing: float, offset: float, center: float, tol: float):
         amax = np.max(np.abs(vals))
         scale = max(scale, amax)
         # never conclude before any mass has been seen: the support may sit
-        # far from the expansion center
+        # far from tau = 0
         if k0 > 0 and scale > 0.0 and amax * spacing <= tol * scale * spacing * 1e-2:
             return total
         k0 += _BLOCK
@@ -194,7 +192,7 @@ def _sweep(g, spacing: float, offset: float, center: float, tol: float):
     raise NumericalError("line quadrature range budget exhausted")
 
 
-def trapezoid_line(g, *, tol: float = 1e-12, center: float = 0.0):
+def trapezoid_line(g, *, tol: float = 1e-12):
     """Integrate vectorized g over the whole real line by trapezoid sums.
 
     g must decay at least exponentially in both directions.  Step halving
@@ -203,10 +201,10 @@ def trapezoid_line(g, *, tol: float = 1e-12, center: float = 0.0):
     a float.
     """
     h = _STEP
-    value = _sweep(g, h, 0.0, center, tol)
+    value = _sweep(g, h, 0.0, tol)
     err = math.inf
     for _ in range(_MAX_HALVINGS):
-        fill = _sweep(g, h, 0.5 * h, center, tol)
+        fill = _sweep(g, h, 0.5 * h, tol)
         refined = 0.5 * value + 0.5 * fill
         err = np.abs(refined - value)
         value = refined

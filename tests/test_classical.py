@@ -694,6 +694,31 @@ def test_norm_ess_sup():
     assert abs(val - math.exp(-1)) < 1e-6
 
 
+def test_norm_ess_sup_reads_a_grid_far_from_one():
+    # ones on log t in [99, 101]: the samples follow the record's range
+    t = np.exp(np.linspace(99.0, 101.0, 64))
+    assert lnur_norm(GridFunction(t, np.ones(64)), 0.0, math.inf) == 1.0
+
+
+def test_norm_ess_sup_of_a_peak_at_log_t_93():
+    # t^3 e^(-1e-40 t) peaks at t = 3e40, where it is (3e40)^3 e^-3
+    f = TestFunction.power_exp(3.0, 1e-40)
+    sup = math.exp(3.0 * math.log(3e40) - 3.0)
+    assert abs(lnur_norm(f, 0.0, math.inf) - sup) < 1e-5 * sup
+
+
+def test_norm_ess_sup_unbounded_returns_inf():
+    # t^(-1/2) e^(-t) grows without bound as t -> 0
+    assert lnur_norm(lambda t: np.exp(-t), -0.5, math.inf) == math.inf
+
+
+@pytest.mark.parametrize("nu", [0.02, 0.05])
+def test_norm_near_the_strip_edge(nu):
+    # the squared L_{nu,2} norm of e^-t is Gamma(2 nu) 2^(-2 nu)
+    exact = math.sqrt(math.gamma(2.0 * nu) * 2.0 ** (-2.0 * nu))
+    assert abs(lnur_norm(EXPF, nu, 2.0) - exact) < 1e-12 * exact
+
+
 # -- grid functions ----------------------------------------------------------------
 
 def test_grid_function_roundtrip(tmp_path):

@@ -72,6 +72,58 @@ def test_transform_routes(capsys):
     assert fields[4] == "mellin"
 
 
+# the canonical case 2 kernel at nu = 0.5, r = 2: its plan ends in EK
+CASE2_PARAMS = ('{"m":2,"n":0,"p":2,"q":2,"upper":[[0.5,0,3],[0.5,0,1]],'
+                '"lower":[[0.25,0,2],[0.25,0,2]]}')
+
+
+def test_transform_numerical_failure_exits_1(capsys):
+    # M[tpow:0](1 - s) = 1/(1 - s) does not make the a* = 0 symbol decay
+    code, out, err = run(capsys, "transform", "--params", CASE2_PARAMS,
+                         "--nu", "0.5", "--r", "2", "--f", "tpow:0",
+                         "--x", "1", "--route", "mellin")
+    assert code == 1
+    assert out == "" and err.startswith("numerical-failure: ")
+
+
+def test_verify_check_routes_json(capsys):
+    code, out, _ = run(capsys, "verify", "--params", CASE2_PARAMS,
+                       "--nu", "0.5", "--r", "2", "--check-routes")
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["routes_compared"] == ["mellin", "plan"]
+    assert blob["route_agreement"]["mellin-vs-plan"] < 1e-8
+
+
+def test_eval_json_rows(capsys):
+    code, out, _ = run(capsys, "eval", "--params", EXP_PARAMS, "--x", "1", "2",
+                       "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["x"] for row in rows] == [1.0, 2.0]
+    assert set(rows[0]) == {"x", "re", "im", "trunc_bound", "quad_err"}
+    assert abs(rows[1]["re"] - np.exp(-2.0)) < 1e-10
+
+
+def test_transform_json_plan_rows_have_null_estimates(capsys):
+    code, out, _ = run(capsys, "transform", "--params", CASE2_PARAMS,
+                       "--nu", "0.5", "--r", "2", "--x", "1", "2",
+                       "--route", "plan", "--format", "json")
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["route"] == "plan"
+    assert [row["x"] for row in blob["rows"]] == [1.0, 2.0]
+    assert all(row["err_est"] is None for row in blob["rows"])
+
+
+@pytest.mark.parametrize("params, route", [(EXP_PARAMS, "direct"), (CASE2_PARAMS, "mellin")])
+def test_transform_auto_route(capsys, params, route):
+    code, out, _ = run(capsys, "transform", "--params", params, "--nu", "0.5",
+                       "--r", "2", "--x", "1", "--route", "auto")
+    assert code == 0
+    assert out.splitlines()[1].split(",")[4] == route
+
+
 def test_transform_inadmissible_route_exits_2(capsys):
     code, _, err = run(capsys, "transform", "--params", BESSEL_PARAMS,
                        "--nu", "0.5", "--r", "2", "--f", "exp",

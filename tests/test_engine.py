@@ -16,6 +16,7 @@ from foxh import (
     DivergentIntegralError,
     FoxHError,
     GammaSymbol,
+    GridFunction,
     HypothesisError,
     NumericalError,
     ParameterError,
@@ -37,7 +38,7 @@ from foxh import (
     validate_params,
     verify_plan_symbol,
 )
-from foxh import gammasym
+from foxh import engine, gammasym
 from foxh.classical import Support
 from foxh.engine import (
     VERIFY_POINTS,
@@ -473,6 +474,31 @@ def test_plan_route_ek_left_chain_agrees_with_mellin():
     assert np.max(np.abs(m.values - p.values) / np.abs(m.values)) < 1e-5
 
 
+def test_plan_route_ek_left_chain_meets_mellin_on_gauss():
+    # the left Erdelyi-Kober step reads the dilated multiplier output itself
+    params = transpose_params(canonical_params(2)[0])
+    xs = np.array([0.05, 0.5, 1.3, 3.0, 20.0])
+    f = TestFunction.builtin("gauss")
+    m = htransform_mellin(params, f, xs, SpaceSpec(0.5, 2.0))
+    p = apply_plan(plan_factorization(params, 0.5, 2.0), f, xs)
+    assert np.max(np.abs(m.values - p.values)) < 1e-9 * np.max(np.abs(m.values))
+
+
+@pytest.mark.parametrize("case, tables", [(2, 0), (3, 1)])
+def test_plan_route_tabulates_only_for_hankel(case, tables, monkeypatch):
+    # EK samples its input on its own lattice; Hankel reads a table
+    calls = []
+
+    def counting(live, **kwargs):
+        calls.append(live)
+        return tabulate(live, **kwargs)
+
+    monkeypatch.setattr(engine, "tabulate", counting)
+    params, nu, r = canonical_params(case)
+    apply_plan(plan_factorization(params, nu, r), F_TEXP, XS)
+    assert len(calls) == tables
+
+
 _CANONICAL_OPS = {
     1: ["reflect", "multiplier", "dilate"],
     2: ["reflect", "multiplier", "dilate", "ek-right"],
@@ -515,6 +541,26 @@ def test_best_route_fallback_order():
     assert res.route == "mellin"
 
 
+# e^-t sampled on a grid: no closed-form Mellin data, so routes that need it
+# fall back to the factorization chain
+_GRID_T = np.geomspace(1e-9, 60.0, 6000)
+_GRID_EXP = GridFunction(_GRID_T, np.exp(-_GRID_T))
+
+
+def test_best_route_falls_back_to_the_plan_on_grid_data():
+    params, nu, r = canonical_params(1)
+    space = SpaceSpec(nu, r)
+    res = best_route(params, _GRID_EXP, XS, space)
+    ref = htransform_mellin(params, F_EXP, XS, space).values
+    assert res.route == "plan"
+    assert np.max(np.abs(res.values - ref)) < 1e-5 * np.max(np.abs(ref))
+
+
+def test_bilinear_check_falls_back_to_the_plan_on_grid_data():
+    params, nu, r = canonical_params(1)
+    assert bilinear_check(params, _GRID_EXP, F_EXP, SpaceSpec(nu, r)) < 1e-6
+
+
 def test_transform_result_admissibility_record():
     res = htransform_direct(EXP_K, F_EXP, XS, SP)
     ok, reason = res.admissibility["direct-integral"]
@@ -541,29 +587,29 @@ def test_bilinear_beta_kernel():
 # -- misc engine pieces ---------------------------------------------------------
 
 def test_tabulate_accuracy():
-    live = LiveFunction(lambda x: np.exp(-1.0 / x) / x, 0.5, cost=1)
+    live = LiveFunction(lambda x: np.exp(-1.0 / x) / x, 0.5)
     tab = tabulate(live)
     xs = np.geomspace(0.03, 30.0, 23)
     assert np.max(np.abs(tab(xs) - np.exp(-1.0 / xs) / xs)) < 1e-9
 
 
 def test_tabulate_returns_its_lattice():
-    live = LiveFunction(lambda x: x * np.exp(-x), 0.5, cost=1)
+    live = LiveFunction(lambda x: x * np.exp(-x), 0.5)
     tab = tabulate(live)
-    assert isinstance(tab, LogGrid) and tab.cost == 0 and tab.nu == 0.5
+    assert isinstance(tab, LogGrid) and tab.nu == 0.5
     assert np.allclose(np.diff(tab.taus), tab.h)
     assert np.array_equal(tab.values, live(np.exp(tab.taus)))
     # the interpolant returns the samples on the lattice and zero off the table
     assert np.allclose(tab(np.exp(tab.taus)), tab.values, rtol=0, atol=1e-11)
     assert np.all(tab(np.exp([tab.taus[0] - 1.0, tab.hi + 1.0])) == 0.0)
-    empty = tabulate(LiveFunction(lambda x: np.zeros_like(x), 0.5, cost=1))
+    empty = tabulate(LiveFunction(lambda x: np.zeros_like(x), 0.5))
     assert empty.taus.size == 0 and np.all(empty(XS) == 0.0)
-    out = LaplaceOp(1.0, 0.0).apply(LiveFunction(empty, 0.5, cost=1))
+    out = LaplaceOp(1.0, 0.0).apply(LiveFunction(empty, 0.5))
     assert np.all(out(XS) == 0.0)
 
 
 def test_tabulate_lattice_points_sit_where_the_interpolant_reads_them():
-    tab = tabulate(LiveFunction(lambda x: x * np.exp(-x), 0.5, cost=1))
+    tab = tabulate(LiveFunction(lambda x: x * np.exp(-x), 0.5))
     assert np.array_equal(tab.taus, tab.taus[0] + tab.h * np.arange(tab.taus.size))
     # the last sample lies at or past hi, where the table is zero
     got = tab(np.exp(tab.taus))
@@ -571,7 +617,7 @@ def test_tabulate_lattice_points_sit_where_the_interpolant_reads_them():
     np.testing.assert_allclose(got[:-1], tab.values[:-1], rtol=1e-15, atol=0)
 
 
-_TEXP_LIVE = LiveFunction(lambda t: t * np.exp(-t), 0.5, cost=1)
+_TEXP_LIVE = LiveFunction(lambda t: t * np.exp(-t), 0.5)
 
 
 def _laplace_texp_by_quad(kappa, alpha, x):
@@ -603,7 +649,7 @@ def _laplace_texp_by_quad(kappa, alpha, x):
        logx=st.lists(st.floats(-5.0, 5.0), max_size=4))
 def test_laplace_grid_sum_matches_pointwise_oracle(kappa, negative, re_alpha, im_alpha,
                                                    logx):
-    # a costly input is summed on its table's lattice.  For kappa > 0 and
+    # the input is summed on its table's lattice.  For kappa > 0 and
     # Re alpha > 1 the weight grows toward tau -> -inf, so the table must
     # reach below where |f| alone falls to 1e-17 of its peak.  The drawn x
     # join a fixed spread over e^-5..e^5, which sets the scale max|value|.
@@ -671,7 +717,7 @@ def test_laplace_mod_probes_a_recorded_function_once():
 
 def test_laplace_grid_sum_memory_stays_below_dense_matrix():
     # the weights are built 64 rows at a time, never n_x x n at once
-    live = LiveFunction(lambda t: np.sqrt(t) * np.exp(-t), 0.5, cost=1)
+    live = LiveFunction(lambda t: np.sqrt(t) * np.exp(-t), 0.5)
     n = tabulate(live).taus.size
     assert n >= 1500
     out = LaplaceOp(1.0, 0.3 + 0.5j).apply(live)

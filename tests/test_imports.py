@@ -10,7 +10,12 @@ default on a function in src/foxh/*.py (a class's __init__ under the class's
 name) and looks for a call of a function of that name, in the same three
 trees, that passes it by name or, if it can be given by position, passes at
 least as many positional arguments as reach it: an option that no caller
-sets is a constant.  The gamma-call scan fails on a
+sets is a constant.  The default scan is its converse: it takes those
+parameters and every dataclass field with a real default (a value, or
+field() with default or default_factory) and fails where every call of
+that name sets it, so the default is dead.  Names that foxh/__init__.py
+exports, and methods of exported classes, are exempt: their defaults are
+public conveniences.  The gamma-call scan fails on a
 call of log_gamma or digamma inside a comprehension in src/foxh/*.py: both
 take arrays, and one array call costs about what one scalar call does.
 The import-cost scan runs `import foxh` in a fresh interpreter and fails if
@@ -98,17 +103,42 @@ def test_no_unread_private_names():
     assert found == {}
 
 
-def keyword_options(path: Path) -> set:
-    """(function, parameter, index) for every parameter with a default.
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(getattr(d, "id", None) == "dataclass"
+               or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+               for d in node.decorator_list)
 
+
+def _field_has_default(value) -> bool:
+    """Whether a dataclass field's right-hand side gives it a default:
+    any value but a field(...) call without default or default_factory."""
+    if value is None:
+        return False
+    if isinstance(value, ast.Call) and call_name(value) == "field":
+        return any(kw.arg in ("default", "default_factory") for kw in value.keywords)
+    return True
+
+
+def defaults_declared(path: Path, fields: bool = False) -> set:
+    """(owner, function, parameter, index) for every parameter with a default.
+
+    function is the name a call uses: a class's __init__ goes under the
+    class's name; owner is the enclosing class, None for a plain function.
     index is the parameter's place among a call's positional arguments,
-    self or cls not counted in a method; None for keyword-only ones.
+    self or cls not counted in a method; None for keyword-only ones.  With
+    fields, a dataclass's fields with a default count as its parameters.
     """
     found = set()
 
     def visit(node, cls=None):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
+                if fields and _is_dataclass(child):
+                    declared = [st for st in child.body if isinstance(st, ast.AnnAssign)
+                                and isinstance(st.target, ast.Name)]
+                    for i, st in enumerate(declared):
+                        if _field_has_default(st.value):
+                            found.add((child.name, child.name, st.target.id, i))
                 visit(child, child.name)
                 continue
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -120,14 +150,20 @@ def keyword_options(path: Path) -> set:
                 positional = a.posonlyargs + a.args
                 first = len(positional) - len(a.defaults)
                 for i, arg in enumerate(positional[first:], start=first):
-                    found.add((name, arg.arg, i - bound))
+                    found.add((cls, name, arg.arg, i - bound))
                 for arg, default in zip(a.kwonlyargs, a.kw_defaults):
                     if default is not None:
-                        found.add((name, arg.arg, None))
+                        found.add((cls, name, arg.arg, None))
             visit(child)
 
     visit(ast.parse(path.read_text(), filename=str(path)))
     return found
+
+
+def keyword_options(path: Path) -> set:
+    """(function, parameter, index) for every parameter with a default
+    (see defaults_declared)."""
+    return {(fn, arg, index) for _, fn, arg, index in defaults_declared(path)}
 
 
 def call_name(node: ast.Call):
@@ -136,26 +172,36 @@ def call_name(node: ast.Call):
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
-def arguments_passed(path: Path) -> set:
+def calls_made(path: Path) -> list:
+    """(function, keywords, positional count, star, double star) for every
+    call: star when it spreads *args, double star when it spreads **kwargs."""
+    return [(call_name(node), {kw.arg for kw in node.keywords if kw.arg is not None},
+             len(node.args), any(isinstance(a, ast.Starred) for a in node.args),
+             any(kw.arg is None for kw in node.keywords))
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Call)]
+
+
+def _all_calls() -> list:
+    return [call for tree in ("src", "tests", "perfbench")
+            for path in (ROOT / tree).rglob("*.py") for call in calls_made(path)]
+
+
+def arguments_passed(calls) -> set:
     """(function, keyword) for every call that passes an argument by name,
     and (function, i) for every positional index i < len(args) of a call;
     a call that unpacks *args passes every index, as (function, None)."""
     passed = set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Call):
-            name = call_name(node)
-            passed |= {(name, kw.arg) for kw in node.keywords if kw.arg is not None}
-            passed |= {(name, i) for i in range(len(node.args))}
-            if any(isinstance(a, ast.Starred) for a in node.args):
-                passed.add((name, None))
+    for name, keywords, n_args, star, _ in calls:
+        passed |= {(name, kw) for kw in keywords}
+        passed |= {(name, i) for i in range(n_args)}
+        if star:
+            passed.add((name, None))
     return passed
 
 
 def test_every_keyword_option_is_passed():
-    passed = set()
-    for tree in ("src", "tests", "perfbench"):
-        for path in (ROOT / tree).rglob("*.py"):
-            passed |= arguments_passed(path)
+    passed = arguments_passed(_all_calls())
 
     def is_set(fn, arg, index):
         return (fn, arg) in passed or index is not None and (
@@ -166,6 +212,36 @@ def test_every_keyword_option_is_passed():
         for path in sorted((ROOT / "src" / "foxh").glob("*.py"))
         if (unset := sorted(f"{fn}({arg}=)" for fn, arg, index in keyword_options(path)
                             if not is_set(fn, arg, index)))
+    }
+    assert found == {}
+
+
+def exported_names() -> set:
+    """The names foxh/__init__.py imports to re-export."""
+    tree = ast.parse((ROOT / "src" / "foxh" / "__init__.py").read_text())
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_no_default_is_overridden_by_every_call():
+    # the converse of the option scan: a default that every call replaces is
+    # dead.  Exported names and methods of exported classes keep theirs as
+    # public conveniences; a call that unpacks arguments overrides nothing
+    calls = _all_calls()
+    exempt = exported_names()
+
+    def overridden(fn, arg, index):
+        mine = [call for call in calls if call[0] == fn]
+        return bool(mine) and all(
+            not (star or double) and (arg in kws or index is not None and index < n)
+            for _, kws, n, star, double in mine)
+
+    found = {
+        str(path.relative_to(ROOT)): dead
+        for path in sorted((ROOT / "src" / "foxh").glob("*.py"))
+        if (dead := sorted(f"{fn}({arg}=)"
+                           for owner, fn, arg, index in defaults_declared(path, fields=True)
+                           if (owner or fn) not in exempt and overridden(fn, arg, index)))
     }
     assert found == {}
 

@@ -44,8 +44,8 @@ def test_every_traced_layer_resolves():
 
 
 def test_plan_route_tabulates_and_skips_the_pointwise_laplace():
-    # case 5 chains two Laplace steps on costly inputs: both sum on the
-    # table's lattice, so the traced run sees samples and no laplace_mod call
+    # case 5 chains two Laplace steps: both sum on their input's table's
+    # lattice, so the traced run sees samples and no laplace_mod call
     tracer = _load_tracer()
     t = tracer.Tracer(time.perf_counter)
     params, nu, r = canonical_params(5)
