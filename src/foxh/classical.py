@@ -347,10 +347,10 @@ _TRAP_BLOCK = 64  # trapezoid points per block of a line rule
 
 
 def _line_range(f, nu: float):
-    """(lo, hi, edged): the tau range on which |f(e^tau)| e^(nu tau) lives,
-    None if f vanishes.  It is the record's window at _NEGLIGIBLE, one
-    lattice step wider on a soft side; edged when it ends at a hard edge.
-    DivergentIntegralError if a side without a hard edge stays open."""
+    """(lo, hi, open_lo, open_hi, edged): the tau range on which |f(e^tau)|
+    e^(nu tau) lives, None if f vanishes: the record's window at _NEGLIGIBLE,
+    one lattice step wider on a soft side, open where that side stays open;
+    edged when it ends at a hard edge."""
     sup = support_of(f)
     hard_lo, hard_hi = sup.hard
     # with both hard edges known f vanishes outside them, seen by the lattice or not
@@ -361,10 +361,8 @@ def _line_range(f, nu: float):
     lo, hi, open_lo, open_hi = win
     at_lo = hard_lo is not None and (open_lo or hard_lo >= lo - _LATTICE)
     at_hi = hard_hi is not None and (open_hi or hard_hi <= hi + _LATTICE)
-    if (open_lo and not at_lo) or (open_hi and not at_hi):
-        raise DivergentIntegralError("Mellin line integrand does not decay")
     return (hard_lo if at_lo else lo - _LATTICE, hard_hi if at_hi else hi + _LATTICE,
-            at_lo or at_hi)
+            open_lo and not at_lo, open_hi and not at_hi, at_lo or at_hi)
 
 
 def _line_rule(f, nu: float, t_max: float):
@@ -374,11 +372,13 @@ def _line_rule(f, nu: float, t_max: float):
     range ending at a hard edge takes equal Gauss-Legendre panels at most a
     unit wide, with nodes for the oscillation e^(i t_max tau); any other the
     trapezoid grid of step 2 pi / (t_max + 80), in blocks of _TRAP_BLOCK
-    points, the last padded with zero weights."""
+    points, the last padded with zero weights.  Raises on an open range."""
     rng = _line_range(f, nu)
     if rng is None:
         return np.zeros(0), np.zeros(0), np.zeros((0, 0))
-    lo, hi, edged = rng
+    lo, hi, open_lo, open_hi, edged = rng
+    if open_lo or open_hi:
+        raise DivergentIntegralError("Mellin line integrand does not decay")
     if edged:
         mid, off, w = equal_panels(lo, hi, 1.0, 14 + int(math.ceil(0.5 * t_max)))
         return mid, off, np.broadcast_to(w, (mid.size, w.size))
@@ -512,8 +512,8 @@ _EK_PURE = 39.2
 _EK_MAX_REACH = 480.0
 # rows and recursion steps per block, anchored at multiples of it on the
 # lattice so that every call sums a row in the same order; head arguments
-# per block (80 f samples each)
-_EK_BLOCK, _EK_HEAD_ROWS = 64, 256
+# per block; Gauss-Jacobi head nodes (f samples) per argument
+_EK_BLOCK, _EK_HEAD_ROWS, _EK_HEAD_NODES = 64, 256, 80
 
 # an EK tail's lattice weights, in steps of h: the tail of row j starts
 # `split` steps off; taps d0 <= d < D = d0 + near.size are near[d - d0], taps
@@ -705,8 +705,8 @@ def ek_fractional(side: str, alpha, sigma: float, eta, f, x):
     exponential, as one geometric recursion.  The tail at x interpolates its
     lattice values.  Beside a hard edge of f's Support record f's
     interpolant is one-sided, and 0 past the edge.  f is read as given, at
-    the head nodes and on the lattice, and nothing tabulates it first: a
-    chain's EK step hands its input straight here.
+    the head nodes and on the lattice: a chain's EK step tabulates its input
+    only for arguments whose head nodes outnumber the table's points.
 
     The table ends at the record's edge toward the tail's end if that lies
     within _EK_MAX_REACH of the outputs.  Else it runs 100 / Re(rate) (at
@@ -733,7 +733,7 @@ def ek_fractional(side: str, alpha, sigma: float, eta, f, x):
     power, u_pow = (1.0 / sigma, eta) if side == "left" else (-1.0 / sigma, eta - 1.0)
 
     # head [1/2, 1]: Gauss-Jacobi absorbs (1-u)^(Re alpha - 1); (1-u) = (1-v)/2
-    uj, wj = jacobi_unit_interval(80, alpha.real - 1.0, 0.0)
+    uj, wj = jacobi_unit_interval(_EK_HEAD_NODES, alpha.real - 1.0, 0.0)
     u_up = 0.5 + 0.5 * uj
     w_up = (wj * 0.5 ** alpha.real * np.exp(u_pow * np.log(u_up))
             * np.exp(1j * alpha.imag * np.log1p(-u_up)))
@@ -962,40 +962,46 @@ def laplace_mod(kappa: float, alpha, f, x):
 
 # step in tau of the essential-sup norm's samples
 _SUP_STEP = 0.005
+# t = e^tau is a normal double for tau between these: f cannot be read past them
+_TAU_LIMITS = (math.log(np.finfo(float).tiny), math.log(np.finfo(float).max))
 
 
 def lnur_norm(f, nu: float, r: float) -> float:
     """Norm in the weighted space: (integral of |t^nu f|^r dt/t)^(1/r).
 
-    The integral is the Mellin transform of |f|^r at s = r nu, its line
-    sample (mellin_line_samples) with f's hard edges.  r = inf gives the
-    essential-sup norm: the largest |t^nu f| at steps of _SUP_STEP in tau
-    on the range where the line sample at Re s = nu would read f.  A
-    divergent integral, or a side of |t^nu f| that never falls away,
-    returns +inf rather than raising.
+    The integral is the Mellin transform of |t^nu f|^r (not of |f|^r, which
+    may overflow) at s = 0, its line sample with f's hard edges.  r = inf
+    gives the essential-sup norm: the largest |t^nu f| at steps of _SUP_STEP
+    in tau on _line_range clipped to _TAU_LIMITS, or inf where it is still
+    rising at an open or clipped end (above the sample _GROW inward by more
+    than rounding).  A divergent integral returns +inf rather than raising.
     """
     if r < 1.0:
         raise ParameterError("exponent r must be >= 1")
+    if math.isinf(r):
+        rng = _line_range(f, nu)
+        if rng is None:
+            return 0.0
+        lo, hi, open_lo, open_hi, _ = rng
+        a, b = max(lo, _TAU_LIMITS[0]), min(hi, _TAU_LIMITS[1])
+        taus = np.linspace(a, b, int(math.ceil((b - a) / _SUP_STEP)) + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.abs(np.asarray(f(np.exp(taus)), dtype=complex)) * np.exp(nu * taus)
+        k = min(round(_GROW / _SUP_STEP), taus.size - 1)
+        rising = ((open_lo or a > lo) and vals[0] > vals[k] * (1.0 + 1e-9)) or \
+            ((open_hi or b < hi) and vals[-1] > vals[-1 - k] * (1.0 + 1e-9))
+        return math.inf if rising else float(np.max(vals))
+
+    def mag(t):
+        """|t^nu f(t)|^r, 0 where f vanishes."""
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            mags = np.abs(np.asarray(f(t), dtype=complex))
+            out = np.exp(r * (np.log(np.where(mags > 0, mags, 1.0)) + nu * np.log(t)))
+        return np.where(mags > 0, out, 0.0)
+
+    mag.support = Support(mag, support_of(f).hard)
     try:
-        if math.isinf(r):
-            rng = _line_range(f, nu)
-            if rng is None:
-                return 0.0
-            lo, hi, _ = rng
-            taus = np.linspace(lo, hi, int(math.ceil((hi - lo) / _SUP_STEP)) + 1)
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals = np.abs(np.asarray(f(np.exp(taus)), dtype=complex)) * np.exp(nu * taus)
-            return float(np.max(vals))
-
-        def mag(t):
-            """|f(t)|^r, 0 where f vanishes."""
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                mags = np.abs(np.asarray(f(t), dtype=complex))
-                out = np.exp(r * np.log(np.where(mags > 0, mags, 1.0)))
-            return np.where(mags > 0, out, 0.0)
-
-        mag.support = Support(mag, support_of(f).hard)
-        value = mellin_line_samples(mag, [r * nu])[0]
+        value = mellin_line_samples(mag, [0.0])[0]
     except (DivergentIntegralError, NumericalError):
         return math.inf
     return float(abs(value)) ** (1.0 / r)

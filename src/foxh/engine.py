@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .classical import (
+    _EK_HEAD_NODES,
     _TABLE_STEP,
     Support,
     _lagrange8,
@@ -73,10 +74,10 @@ class LiveFunction:
 
     Nothing is tabulated on the way in: a step that reads its input at
     many points decides that itself (HankelOp and LaplaceOp tabulate, EK
-    samples its input on its own lattice).  A third argument, once an
-    evaluation cost, is accepted and ignored.  support is fn's own Support
-    record where fn keeps one, so every wrapper of fn shares its probes;
-    else a fresh record without hard edges.
+    only for many arguments).  A third argument, once an evaluation cost,
+    is accepted and ignored.  support is fn's own Support record where fn
+    keeps one, so every wrapper of fn shares its probes; else a fresh
+    record without hard edges.
     """
 
     def __init__(self, fn, nu: float, _ignored=None):
@@ -90,8 +91,8 @@ class LiveFunction:
         return np.asarray(self._fn(x), dtype=complex)
 
 
-# tabulate's grid reaches this far in log x past its support window
-_TABLE_MARGIN = 2.5
+# tabulate's grid runs _TABLE_MARGIN in log x past where |f| > _TABLE_FLOOR * peak
+_TABLE_MARGIN, _TABLE_FLOOR = 2.5, 1e-17
 
 
 class LogGrid(LiveFunction):
@@ -137,7 +138,7 @@ class LogGrid(LiveFunction):
 
 
 def tabulate(live: LiveFunction, *, h: float = _TABLE_STEP,
-             floor: float = 1e-17, weight: float = 0.0) -> LogGrid:
+             floor: float = _TABLE_FLOOR, weight: float = 0.0) -> LogGrid:
     """Sample a function on a log-uniform grid, as a LogGrid.
 
     The grid is the window of live's Support record where |live| exceeds
@@ -370,9 +371,13 @@ class EK(_Step):
         super().check_space(nu, r)
 
     def apply(self, live: LiveFunction) -> LiveFunction:
-        # ek_fractional samples live on its own lattice and at its head nodes
-        return LiveFunction(
-            lambda x: ek_fractional(self.side, self.alpha, self.sigma, self.eta, live, x),
+        # ek_fractional reads live on its lattice and at _EK_HEAD_NODES per
+        # argument: past the points of tabulate's grid, a table is cheaper
+        win = support_of(live).window(0.0, _TABLE_FLOOR)
+        span = 0.0 if win is None else win[1] - win[0] + 2.0 * _TABLE_MARGIN
+        return LiveFunction(lambda x: ek_fractional(
+            self.side, self.alpha, self.sigma, self.eta,
+            tabulate(live) if _EK_HEAD_NODES * x.size * _TABLE_STEP > span else live, x),
             _out_weight(self, live.nu))
 
 

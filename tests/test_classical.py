@@ -707,9 +707,25 @@ def test_norm_ess_sup_of_a_peak_at_log_t_93():
     assert abs(lnur_norm(f, 0.0, math.inf) - sup) < 1e-5 * sup
 
 
-def test_norm_ess_sup_unbounded_returns_inf():
-    # t^(-1/2) e^(-t) grows without bound as t -> 0
-    assert lnur_norm(lambda t: np.exp(-t), -0.5, math.inf) == math.inf
+@pytest.mark.parametrize("f", [lambda t: np.exp(-t), EXPF])
+def test_norm_ess_sup_unbounded_returns_inf(f):
+    # t^(-1/2) e^(-t) grows without bound as t -> 0, also where a
+    # TestFunction reads t = e^tau as 0
+    assert lnur_norm(f, -0.5, math.inf) == math.inf
+
+
+@pytest.mark.parametrize("f", [lambda t: np.exp(-t), EXPF])
+def test_norm_ess_sup_levelling_off(f):
+    # e^-t tends to its sup 1 as t -> 0 without falling away
+    assert abs(lnur_norm(f, 0.0, math.inf) - 1.0) < 1e-12
+
+
+def test_norm_weight_inside_the_power():
+    # |t^-1 t^3 e^(-1e-40 t)|^3 integrates to Gamma(6) / (3e-40)^6, about
+    # 1.6e239, while |f|^3 alone reaches 2e360 at its peak
+    f = TestFunction.power_exp(3.0, 1e-40)
+    exact = math.exp((math.log(120.0) - 6.0 * math.log(3e-40)) / 3.0)
+    assert abs(lnur_norm(f, -1.0, 3.0) - exact) < 1e-12 * exact
 
 
 @pytest.mark.parametrize("nu", [0.02, 0.05])

@@ -484,9 +484,12 @@ def test_plan_route_ek_left_chain_meets_mellin_on_gauss():
     assert np.max(np.abs(m.values - p.values)) < 1e-9 * np.max(np.abs(m.values))
 
 
-@pytest.mark.parametrize("case, tables", [(2, 0), (3, 1)])
-def test_plan_route_tabulates_only_for_hankel(case, tables, monkeypatch):
-    # EK samples its input on its own lattice; Hankel reads a table
+@pytest.mark.parametrize("case, n_x, tables", [(2, 3, 0), (2, 64, 1), (3, 3, 1)])
+def test_plan_route_tabulates_for_hankel_and_many_ek_arguments(case, n_x, tables,
+                                                               monkeypatch):
+    # EK samples its input on its own lattice until 80 head nodes per
+    # argument outnumber a table's points (about 1.6k here); Hankel always
+    # reads a table
     calls = []
 
     def counting(live, **kwargs):
@@ -495,8 +498,12 @@ def test_plan_route_tabulates_only_for_hankel(case, tables, monkeypatch):
 
     monkeypatch.setattr(engine, "tabulate", counting)
     params, nu, r = canonical_params(case)
-    apply_plan(plan_factorization(params, nu, r), F_TEXP, XS)
+    xs = np.geomspace(0.5, 2.0, n_x)
+    p = apply_plan(plan_factorization(params, nu, r), F_TEXP, xs)
     assert len(calls) == tables
+    if case == 2:
+        m = htransform_mellin(params, F_TEXP, xs, SpaceSpec(nu, r))
+        assert np.max(np.abs(m.values - p.values)) < 1e-9 * np.max(np.abs(m.values))
 
 
 _CANONICAL_OPS = {
