@@ -972,7 +972,8 @@ def lnur_norm(f, nu: float, r: float) -> float:
     The integral is the Mellin transform of |t^nu f|^r (not of |f|^r, which
     may overflow) at s = 0, its line sample with f's hard edges.  r = inf
     gives the essential-sup norm: the largest |t^nu f| at steps of _SUP_STEP
-    in tau on _line_range clipped to _TAU_LIMITS, or inf where it is still
+    in tau on _line_range clipped to _TAU_LIMITS (f read at the last double
+    inside a hard edge that ends the range), or inf where it is still
     rising at an open or clipped end (above the sample _GROW inward by more
     than rounding).  A divergent integral returns +inf rather than raising.
     """
@@ -985,8 +986,15 @@ def lnur_norm(f, nu: float, r: float) -> float:
         lo, hi, open_lo, open_hi, _ = rng
         a, b = max(lo, _TAU_LIMITS[0]), min(hi, _TAU_LIMITS[1])
         taus = np.linspace(a, b, int(math.ceil((b - a) / _SUP_STEP)) + 1)
+        ts = np.exp(taus)
+        # f stops at a hard edge: read it at the last double inside
+        hard_lo, hard_hi = support_of(f).hard
+        if a == hard_lo:
+            ts[0] = np.nextafter(ts[0], math.inf)
+        if b == hard_hi:
+            ts[-1] = np.nextafter(ts[-1], 0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.abs(np.asarray(f(np.exp(taus)), dtype=complex)) * np.exp(nu * taus)
+            vals = np.abs(np.asarray(f(ts), dtype=complex)) * np.exp(nu * taus)
         k = min(round(_GROW / _SUP_STEP), taus.size - 1)
         rising = ((open_lo or a > lo) and vals[0] > vals[k] * (1.0 + 1e-9)) or \
             ((open_hi or b < hi) and vals[-1] > vals[-1 - k] * (1.0 + 1e-9))

@@ -189,7 +189,11 @@ def cmd_eval(args) -> int:
             }
             for x, r in zip(xs, results)
         ]
-        dump_json({"rows": rows}, args.out)
+        # the batch sizes its contour, so the caller sees which one it used
+        c = results[0].contour_used
+        contour = {"re_line": c.re_line, "half_height": c.half_height,
+                   "nodes_per_unit": c.nodes_per_unit}
+        dump_json({"rows": rows, "contour": contour}, args.out)
     else:
         lines = ["x,re_H,im_H,trunc_bound,quad_err"]
         for x, r in zip(xs, results):

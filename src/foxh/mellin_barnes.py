@@ -8,6 +8,14 @@ is available.  Truncation is controlled by the magnitude envelope of the
 symbol (a true bound once the asymptotic regime is reached), quadrature by
 the LineRule of quadrature.py (refine_line for an explicit contour).
 
+An automatic contour is sized to the arguments it serves: its height keeps
+the tail small against x^(-gamma) for |ln x| up to a log span, and its node
+density follows both the oscillation exp(-i t ln x) over that span and the
+distance from the line to the nearer strip edge, where the symbol's poles
+limit Gauss-Legendre convergence.  A batch of arguments takes the span of
+its own largest |ln x|; the direct route, whose integrand reads the kernel
+at arguments not known in advance, takes the full span _LOG_SPAN.
+
 Only vertical contours are supported.  Kernels whose symbol does not decay
 on any admissible vertical line (the balanced cases, and oscillatory ones
 without enough algebraic decay) are refused; the transform engine reaches
@@ -131,26 +139,46 @@ def choose_contour(inv: Invariants, x: float, target_abs_err: float = 1e-10) -> 
     raise NumericalError("truncation horizon exceeds the quadrature budget")
 
 
+def _nodes_per_unit(inv: Invariants, gamma: float, base: int, log_span: float) -> int:
+    """Node density of a contour at Re s = gamma serving |ln x| <= log_span.
+
+    The oscillation exp(-i t ln x) takes 1.8 nodes per unit of |ln x|.  A
+    strip edge at distance d from the line holds a pole, so n nodes on a
+    unit Gauss-Legendre panel converge like rho(d)^(-2n), rho(d) = 2d +
+    sqrt(4d^2 + 1) being the pole's Bernstein ellipse (Trefethen, SIAM Rev.
+    50, 2008).  n is raised until rho(d)^-n reaches 1e-14, a square's margin
+    on that rate, but never past the density of the full span.
+    """
+    full = int(math.ceil(1.8 * _LOG_SPAN)) + 4
+    d = min(gamma - inv.alpha_low, inv.beta_high - gamma)
+    floor = 0
+    if math.isfinite(d):
+        rho = 2.0 * d + math.sqrt(4.0 * d * d + 1.0)
+        floor = min(int(math.ceil(math.log(1e14) / math.log(rho))), full)
+    return max(base, int(math.ceil(1.8 * log_span)) + 4, floor)
+
+
 class KernelEvaluator:
     """Reusable contour data for one kernel: symbol values computed once.
 
-    Covers arguments with |ln x| up to _LOG_SPAN; the truncation height is
-    sized so the envelope tail stays below the target even against the
-    worst x^(-gamma) amplification in that range.  The LineRule fine gives
-    the kernel values; a coarser one estimates their error.
+    Covers arguments with |ln x| up to log_span (at most _LOG_SPAN); the
+    truncation height is sized so the envelope tail stays below the target
+    even against the worst x^(-gamma) amplification in that range, and the
+    node density by _nodes_per_unit.  The LineRule fine gives the kernel
+    values; a coarser one estimates their error.
     """
 
-    def __init__(self, params: HParams, target_abs_err: float):
+    def __init__(self, params: HParams, target_abs_err: float, log_span: float):
         self.params = params
         self.inv = derive_invariants(params)
         self.target = target_abs_err
         base = choose_contour(self.inv, 1.0, target_abs_err)
         gamma = base.re_line
         T = base.half_height
-        worst_scale = math.exp(abs(gamma) * _LOG_SPAN)
+        worst_scale = math.exp(abs(gamma) * log_span)
         while T <= _T_CAP and _tail_bound(self.inv, gamma, T) * worst_scale > target_abs_err / 2.0:
             T *= 1.15
-        npu = max(base.nodes_per_unit, int(math.ceil(1.8 * _LOG_SPAN)) + 4)
+        npu = _nodes_per_unit(self.inv, gamma, base.nodes_per_unit, log_span)
         if 2 * T * npu > NODE_BUDGET:
             raise NumericalError("truncation horizon exceeds the quadrature budget")
         self.contour = ContourSpec(gamma, T, npu)
@@ -171,11 +199,12 @@ class KernelEvaluator:
 _EVALUATOR_CACHE: dict = {}
 
 
-def kernel_evaluator(params: HParams, target_abs_err: float) -> KernelEvaluator:
-    key = (params, round(math.log10(target_abs_err), 3))
+def kernel_evaluator(params: HParams, target_abs_err: float,
+                     log_span: float = _LOG_SPAN) -> KernelEvaluator:
+    key = (params, round(math.log10(target_abs_err), 3), log_span)
     ev = _EVALUATOR_CACHE.get(key)
     if ev is None:
-        ev = KernelEvaluator(params, target_abs_err)
+        ev = KernelEvaluator(params, target_abs_err, log_span)
         if len(_EVALUATOR_CACHE) > 64:
             _EVALUATOR_CACHE.clear()
         _EVALUATOR_CACHE[key] = ev
@@ -186,9 +215,12 @@ def eval_hfunction_batch(params: HParams, xs, contour=None,
                          target_abs_err: float = 1e-10):
     """Kernel values at many positive arguments, sharing one contour.
 
-    With contour=None the contour is chosen automatically and tightened to
-    the worst argument of the batch (symbol data is cached per kernel, so
-    repeated batches are cheap).  Returns a list of EvalResult in order.
+    With contour=None the contour is chosen automatically and sized to the
+    batch: it covers the log span ceil(max |ln x|), between 1 and _LOG_SPAN,
+    so the values depend only on the kernel, the tolerance and the batch
+    (symbol data is cached per kernel and span, so repeated batches are
+    cheap).  Returns a list of EvalResult in order; each carries the
+    contour used.
     """
     xs = list(xs)
     if len(xs) == 0:
@@ -197,7 +229,8 @@ def eval_hfunction_batch(params: HParams, xs, contour=None,
     if np.any(x_arr <= 0) or not np.all(np.isfinite(x_arr)):
         raise ParameterError("x must be positive")
     if contour is None:
-        ev = kernel_evaluator(params, min(target_abs_err, 1e-10))
+        span = min(_LOG_SPAN, max(1.0, float(math.ceil(np.max(np.abs(np.log(x_arr)))))))
+        ev = kernel_evaluator(params, min(target_abs_err, 1e-10), span)
         vals, qerr, tails = ev.eval(x_arr)
         contour = ev.contour
     else:

@@ -720,6 +720,11 @@ def test_norm_ess_sup_levelling_off(f):
     assert abs(lnur_norm(f, 0.0, math.inf) - 1.0) < 1e-12
 
 
+def test_norm_ess_sup_reads_inside_a_hard_edge():
+    # t^0.5 on (0, 1] has its sup 1 at the edge t = 1, where tpow:0 is 0
+    assert abs(lnur_norm(TestFunction.builtin("tpow:0"), 0.5, math.inf) - 1.0) < 1e-12
+
+
 def test_norm_weight_inside_the_power():
     # |t^-1 t^3 e^(-1e-40 t)|^3 integrates to Gamma(6) / (3e-40)^6, about
     # 1.6e239, while |f|^3 alone reaches 2e360 at its peak

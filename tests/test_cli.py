@@ -7,6 +7,7 @@ import pytest
 
 from foxh import derive_invariants, params_to_json
 from foxh.cli import run_cli
+from foxh.mellin_barnes import _EVALUATOR_CACHE
 
 from conftest import ZERO_PROBE_CASES, line_in_strip, random_params
 
@@ -103,6 +104,26 @@ def test_eval_json_rows(capsys):
     assert [row["x"] for row in rows] == [1.0, 2.0]
     assert set(rows[0]) == {"x", "re", "im", "trunc_bound", "quad_err"}
     assert abs(rows[1]["re"] - np.exp(-2.0)) < 1e-10
+
+
+def test_eval_json_reports_contour_and_ignores_cache_history(capsys):
+    # the batch sizes its own contour: a direct transform that builds the
+    # full-span evaluator of the same kernel at the same tolerance first
+    # leaves the eval output byte-identical
+    args = ("eval", "--params", EXP_PARAMS, "--x", "0.5", "3", "--err", "1e-11",
+            "--format", "json")
+    _EVALUATOR_CACHE.clear()
+    code, cold, _ = run(capsys, *args)
+    assert code == 0
+    contour = json.loads(cold)["contour"]
+    assert set(contour) == {"re_line", "half_height", "nodes_per_unit"}
+    assert contour["re_line"] == 1.0 and contour["half_height"] > 4.0
+    _EVALUATOR_CACHE.clear()
+    code, _, _ = run(capsys, "transform", "--params", EXP_PARAMS, "--nu", "0.5", "--r", "2",
+                     "--f", "exp", "--x", "1", "--route", "direct")
+    assert code == 0
+    code, warm, _ = run(capsys, *args)
+    assert code == 0 and warm == cold
 
 
 def test_transform_json_plan_rows_have_null_estimates(capsys):

@@ -10,18 +10,34 @@ from foxh import (
     ContourSpec,
     NoAdmissibleContourError,
     ParameterError,
+    SpaceSpec,
+    TestFunction,
     choose_contour,
     derive_invariants,
     eval_hfunction,
     eval_hfunction_batch,
+    htransform_direct,
     validate_params,
 )
 from foxh.gammasym import symbol_from_params
+from foxh.mellin_barnes import _EVALUATOR_CACHE, _LOG_SPAN, kernel_evaluator
 from foxh.quadrature import LineRule
 
 from conftest import canonical_params, exp_series
 
 EXP_K = validate_params(1, 0, 0, 1, [], [(0.0, 1.0)])
+# two frozen kernels of the survey benchmark: a* = 0.025, whose contour runs
+# to heights in the thousands, and one with a strip 0.55 wide
+LOW_A_STAR_K = validate_params(
+    0, 2, 3, 0,
+    [(0.958944 - 0.257488j, 0.404989), (-0.676720 - 0.255238j, 0.728059),
+     (0.328821 - 0.172448j, 1.108355)],
+    [])
+NARROW_STRIP_K = validate_params(
+    2, 1, 1, 2,
+    [(-0.492959 - 0.399135j, 1.490357)],
+    [(-0.606965 + 0.028680j, 1.344994), (-0.540330 - 0.300761j, 1.291913)])
+SURVEY_GRID = np.geomspace(1e-2, 1e2, 64)
 
 
 def test_choose_contour_exp_kernel():
@@ -125,6 +141,50 @@ def test_kernel_reduction_grid():
     assert worst < 1e-8
 
 
+# -- contours sized to the batch ------------------------------------------------
+
+def _values(results):
+    return np.array([r.value for r in results])
+
+
+def test_batch_contour_node_floor_near_strip_edge():
+    # the mid-strip line is 0.275 from a pole: density from the span alone
+    # (13 per unit) leaves the table 4e-7 of max|value| off, the pole's
+    # floor (62 per unit) 1e-13
+    res = eval_hfunction_batch(NARROW_STRIP_K, SURVEY_GRID)
+    c = res[0].contour_used
+    vals = _values(res)
+    dense = LineRule(symbol_from_params(NARROW_STRIP_K).eval, c.re_line,
+                     1.3 * c.half_height, 2 * c.nodes_per_unit)(np.log(SURVEY_GRID))
+    assert np.max(np.abs(vals - dense)) <= 1e-11 * np.max(np.abs(vals))
+
+
+def test_low_a_star_batch_contour_is_sized_to_its_grid():
+    res = eval_hfunction_batch(LOW_A_STAR_K, SURVEY_GRID)
+    c = res[0].contour_used
+    full = kernel_evaluator(LOW_A_STAR_K, 1e-10, _LOG_SPAN)
+    f = full.contour
+    assert c.half_height * c.nodes_per_unit <= 0.25 * f.half_height * f.nodes_per_unit
+    vals = _values(res)
+    ref = full.eval(SURVEY_GRID)[0]
+    assert np.max(np.abs(vals - ref)) <= 1e-6 * np.max(np.abs(vals))
+
+
+def test_batch_values_do_not_depend_on_cached_evaluators():
+    # the direct route builds the full-span evaluator at the batch's
+    # tolerance (1e-9 * 1e-2); a batch must not pick it up
+    xs = np.geomspace(0.1, 10.0, 7)
+    _EVALUATOR_CACHE.clear()
+    htransform_direct(EXP_K, TestFunction.builtin("exp"), [1.0], SpaceSpec(0.5, 2.0))
+    assert (EXP_K, -11.0, _LOG_SPAN) in _EVALUATOR_CACHE
+    after = eval_hfunction_batch(EXP_K, xs, target_abs_err=1e-11)
+    _EVALUATOR_CACHE.clear()
+    cold = eval_hfunction_batch(EXP_K, xs, target_abs_err=1e-11)
+    assert after[0].contour_used == cold[0].contour_used
+    assert cold[0].contour_used.half_height < kernel_evaluator(EXP_K, 1e-11).contour.half_height
+    assert np.array_equal(_values(after), _values(cold))
+
+
 # -- panel-factored line sums ---------------------------------------------------
 
 def _dense_line_sum(rule, logx):
@@ -160,14 +220,9 @@ def test_line_rule_scalar_and_empty_arguments():
 
 
 def test_line_rule_memory_stays_below_dense_matrix():
-    # a* = 0.025 kernel of the survey benchmark: its contour runs to heights
-    # in the thousands; a dense exp(-outer(logx, s)) holds 64 N complex values
-    low_a_star = validate_params(
-        0, 2, 3, 0,
-        [(0.958944 - 0.257488j, 0.404989), (-0.676720 - 0.255238j, 0.728059),
-         (0.328821 - 0.172448j, 1.108355)],
-        [])
-    rule = LineRule(symbol_from_params(low_a_star).eval, -0.9, 2540.0, 85)
+    # the a* = 0.025 kernel's contour runs to heights in the thousands; a
+    # dense exp(-outer(logx, s)) holds 64 N complex values
+    rule = LineRule(symbol_from_params(LOW_A_STAR_K).eval, -0.9, 2540.0, 85)
     assert rule.coeff.size >= 400_000
     logx = np.linspace(-4.6, 4.6, 64)
     tracemalloc.start()
