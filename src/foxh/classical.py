@@ -34,9 +34,9 @@ from .bessel import bessel_j, phase_breakpoints
 from .gammafn import log_gamma
 from .gammasym import GammaSymbol
 from .quadrature import (
+    endpoint_power_rule,
     equal_panels,
     gauss_legendre,
-    jacobi_unit_interval,
     panel_sums,
     refine_line,
     wynn_epsilon,
@@ -511,9 +511,9 @@ _EK_PURE = 39.2
 # the farthest (in tau) the tail's table reaches past its outputs
 _EK_MAX_REACH = 480.0
 # rows and recursion steps per block, anchored at multiples of it on the
-# lattice so that every call sums a row in the same order; head arguments
-# per block; Gauss-Jacobi head nodes (f samples) per argument
-_EK_BLOCK, _EK_HEAD_ROWS, _EK_HEAD_NODES = 64, 256, 80
+# lattice so that every call sums a row in the same order; f samples per
+# head block (arguments times head nodes)
+_EK_BLOCK, _EK_HEAD_SAMPLES = 64, 20480
 
 # an EK tail's lattice weights, in steps of h: the tail of row j starts
 # `split` steps off; taps d0 <= d < D = d0 + near.size are near[d - d0], taps
@@ -694,7 +694,10 @@ def ek_fractional(side: str, alpha, sigma: float, eta, f, x):
 
     side='left' integrates over (0, x), side='right' over (x, inf).  With
     u = (t/x)^sigma both are averages over u in (0, 1) with a (1-u)^(alpha-1)
-    endpoint.  Head, u in [1/2, 1]: 80 Gauss-Jacobi nodes per argument.
+    endpoint.  Head, u in [1/2, 1]: quadrature.endpoint_power_rule in
+    w = 1 - u, whose weights carry the complex power w^(alpha-1); 51 to 78
+    nodes per argument for real alpha in 0.4..6, more as |Im alpha| /
+    Re alpha grows (298 at 0.5+2i), NumericalError past 4,096.
     Tail: in rho = |log(t/x)| it is sigma int_{log 2/sigma}^inf e^(-rate rho)
     (1 - e^(-sigma rho))^(alpha-1) f(x e^(-+rho)) d rho, rate = sigma(eta+1)
     on the left and sigma eta on the right.  f is sampled once on the
@@ -719,8 +722,9 @@ def ek_fractional(side: str, alpha, sigma: float, eta, f, x):
     forms of t^c e^(-p t), log x in -8..4), set by the interpolant of f
     where f is steep; 11.4 to 12.8 digits on the benchmark's Mellin
     identities; against mpmath 9e-12 relative or better on a right-side
-    draw with c 0.0064 below sigma eta, 2e-15 at log x = -60.  A hard edge
-    inside the head, [x, 2^(1/sigma) x], is not resolved.
+    draw with c 0.0064 below sigma eta, 2e-15 at log x = -60, and 1e-10
+    relative at complex orders 0.3+0.3i to 1.5+0.8i.  A hard edge inside
+    the head, [x, 2^(1/sigma) x], is not resolved.
     """
     alpha, eta = complex(alpha), complex(eta)
     if alpha.real <= 0:
@@ -732,17 +736,16 @@ def ek_fractional(side: str, alpha, sigma: float, eta, f, x):
     x_arr = positive_args(x)
     power, u_pow = (1.0 / sigma, eta) if side == "left" else (-1.0 / sigma, eta - 1.0)
 
-    # head [1/2, 1]: Gauss-Jacobi absorbs (1-u)^(Re alpha - 1); (1-u) = (1-v)/2
-    uj, wj = jacobi_unit_interval(_EK_HEAD_NODES, alpha.real - 1.0, 0.0)
-    u_up = 0.5 + 0.5 * uj
-    w_up = (wj * 0.5 ** alpha.real * np.exp(u_pow * np.log(u_up))
-            * np.exp(1j * alpha.imag * np.log1p(-u_up)))
-    t_up = u_up ** power
+    # head u in [1/2, 1]: in w = 1 - u the endpoint rule carries w^(alpha-1)
+    w, c = endpoint_power_rule(alpha)
+    log_u = np.log1p(-w)
+    c_up, t_up = c * np.exp(u_pow * log_u), np.exp(power * log_u)
     head = np.empty(x_arr.size, dtype=complex)
-    for k0 in range(0, x_arr.size, _EK_HEAD_ROWS):
-        xs = x_arr[k0:k0 + _EK_HEAD_ROWS]
+    rows = _EK_HEAD_SAMPLES // w.size
+    for k0 in range(0, x_arr.size, rows):
+        xs = x_arr[k0:k0 + rows]
         fu = np.asarray(f(np.multiply.outer(t_up, xs).ravel()), dtype=complex)
-        head[k0:k0 + _EK_HEAD_ROWS] = w_up @ fu.reshape(t_up.size, xs.size)
+        head[k0:k0 + rows] = c_up @ fu.reshape(t_up.size, xs.size)
     out = np.exp(-log_gamma(alpha)) * (head + _ek_tail(side, alpha, sigma, eta, f, x_arr))
     return complex(out[0]) if np.ndim(x) == 0 else out
 
@@ -846,8 +849,8 @@ def hankel_mod(kappa: float, eta, f, x):
     by block (_ARCH_BLOCK arches) per argument, and an argument settles
     after a block when
 
-    - an arch term falls to _HANKEL_SETTLE of its running sum: the partial
-      sum there is its value; or
+    - an arch term falls to _HANKEL_SETTLE of its running sum, after a
+      nonzero head or arch term: the partial sum there is its value; or
     - its tail decays (last term no larger than its 13th arch term) and
       _decaying_limit's Wynn extrapolation of the block's partials agrees
       with the one after the previous block to _HANKEL_SETTLE of the running
@@ -909,9 +912,11 @@ def hankel_mod(kappa: float, eta, f, x):
             if done == 0:
                 early, early_terms = partials, terms
             done += _ARCH_BLOCK
-            # a term this small against the running sum settles the sum there
+            # a term this small against the running sum settles the sum
+            # there, once the sum before it has seen mass
             scale = np.maximum(np.abs(partials[-1]), 1e-280)
-            tiny = np.abs(terms) <= _HANKEL_SETTLE * scale
+            before = np.vstack([acc[None, :], partials[:-1]])
+            tiny = (np.abs(terms) <= _HANKEL_SETTLE * scale) & (before != 0)
             hit = tiny.any(axis=0)
             block[live[hit]] = partials[np.argmax(tiny[:, hit], axis=0), hit]
             # a decaying tail settles where its extrapolated limit stops moving

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .classical import (
-    _EK_HEAD_NODES,
     _TABLE_STEP,
     Support,
     _lagrange8,
@@ -51,6 +50,7 @@ from .errors import (
 from .gammasym import GammaSymbol, symbol_from_params
 from .mellin_barnes import kernel_evaluator
 from .params import (
+    _SIGN_TOL,
     HParams,
     SpaceSpec,
     admissible_range,
@@ -59,7 +59,7 @@ from .params import (
     transpose_params,
     validate_params,
 )
-from .quadrature import LineRule, trapezoid_line
+from .quadrature import LineRule, endpoint_power_rule, trapezoid_line
 
 # Multiplier.apply's line: half height and Gauss-Legendre nodes per unit
 _MULTIPLIER_HALF_HEIGHT, _MULTIPLIER_NODES = 48.0, 16
@@ -371,14 +371,18 @@ class EK(_Step):
         super().check_space(nu, r)
 
     def apply(self, live: LiveFunction) -> LiveFunction:
-        # ek_fractional reads live on its lattice and at _EK_HEAD_NODES per
-        # argument: past the points of tabulate's grid, a table is cheaper
+        # ek_fractional reads live on its lattice and at its head rule's
+        # nodes per argument: past the points of tabulate's grid, a table is
+        # cheaper
         win = support_of(live).window(0.0, _TABLE_FLOOR)
         span = 0.0 if win is None else win[1] - win[0] + 2.0 * _TABLE_MARGIN
-        return LiveFunction(lambda x: ek_fractional(
-            self.side, self.alpha, self.sigma, self.eta,
-            tabulate(live) if _EK_HEAD_NODES * x.size * _TABLE_STEP > span else live, x),
-            _out_weight(self, live.nu))
+
+        def ev(x):
+            nodes = endpoint_power_rule(complex(self.alpha))[0].size
+            f = tabulate(live) if nodes * x.size * _TABLE_STEP > span else live
+            return ek_fractional(self.side, self.alpha, self.sigma, self.eta, f, x)
+
+        return LiveFunction(ev, _out_weight(self, live.nu))
 
 
 @dataclass(frozen=True)
@@ -607,7 +611,7 @@ def plan_factorization(params: HParams, nu: float, r: float) -> FactorizationPla
         omega = mu + a1 * alpha - a2 * beta + 1.0
         cp["omega"] = omega
         pref = GammaSymbol.power(a1, a1 * (-alpha) - 1.0, a1)
-        if omega.real >= 0:
+        if omega.real >= -_SIGN_TOL:
             pref = pref * GammaSymbol.power(a2, a2 * beta + omega - 1.0, -a2)
             quot = GammaSymbol(den=((complex(-a1 * alpha), a1),
                                     (a2 * beta + omega, -a2)))
@@ -628,7 +632,7 @@ def plan_factorization(params: HParams, nu: float, r: float) -> FactorizationPla
     elif case == 6:
         omega = mu + a1 * alpha + 0.5
         cp["omega"] = omega
-        if omega.real >= 0:
+        if omega.real >= -_SIGN_TOL:
             pref = GammaSymbol.power(a1, a1 * (-alpha) + omega - 1.0, a1)
             quot = GammaSymbol(den=(((-a1 * alpha + omega), a1),))
             steps = (LaplaceOp(a1, alpha - omega / a1),)
@@ -853,12 +857,6 @@ def htransform_repr(params: HParams, f, lam: complex, h: float, xs,
     variant = "raise-upper" if lam.real > thr else "raise-lower"
     sign = 1.0 if variant == "raise-upper" else -1.0
     aug = _augmented_params(params, lam, h, variant)
-    try:
-        probe = htransform_direct(aug, f, [], space, _REPR_TOL)
-    except HypothesisError as exc:
-        raise HypothesisError(
-            "augmented kernel inadmissible for direct evaluation", str(exc)
-        ) from None
     xs_arr = np.atleast_1d(np.asarray(xs, dtype=float))
     c = (lam + 1.0) / h
     d0 = 1e-3
@@ -866,7 +864,12 @@ def htransform_repr(params: HParams, f, lam: complex, h: float, xs,
         xs_arr * (1.0 + d0), xs_arr * (1.0 - d0),
         xs_arr * (1.0 + d0 / 2), xs_arr * (1.0 - d0 / 2),
     ])
-    g_res = htransform_direct(aug, f, stencil, space, _REPR_TOL)
+    try:
+        g_res = htransform_direct(aug, f, stencil, space, _REPR_TOL)
+    except HypothesisError as exc:
+        raise HypothesisError(
+            "augmented kernel inadmissible for direct evaluation", str(exc)
+        ) from None
     gv = g_res.values.reshape(4, xs_arr.size)
     phi = np.exp(c * np.log(stencil.reshape(4, xs_arr.size))) * gv
     d_coarse = (phi[0] - phi[1]) / (2.0 * d0 * xs_arr)

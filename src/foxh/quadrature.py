@@ -9,7 +9,8 @@ the real tau axis).
 
 Finite panels use composite Gauss-Legendre, among them the vertical line of
 every inverse Mellin transform (LineRule, refined by refine_line);
-endpoint-singular weights use Gauss-Jacobi nodes computed by Golub-Welsch.
+an endpoint power w^(alpha-1), alpha complex, is carried by the weights of
+a double-exponential rule (endpoint_power_rule).
 
 Sums over a vertical line, sum_j c_j e^(-i l t_j) at L real arguments l, are
 evaluated in panels (panel_sums).  The nodes come as t = mid_p + off_g: P
@@ -44,51 +45,36 @@ def gauss_legendre(n: int):
     return x, w
 
 
-@lru_cache(maxsize=256)
-def gauss_jacobi(n: int, a: float, b: float):
-    """Golub-Welsch nodes/weights for weight (1-x)^a (1+x)^b on [-1, 1]."""
-    if a <= -1.0 or b <= -1.0:
-        raise ValueError("Jacobi exponents must exceed -1")
-    k = np.arange(n, dtype=float)
-    apb = a + b
-    diag = np.empty(n)
-    if n > 0:
-        diag[0] = (b - a) / (apb + 2.0)
-    if n > 1:
-        kk = k[1:]
-        diag[1:] = (b * b - a * a) / ((2 * kk + apb) * (2 * kk + apb + 2.0))
-    off = np.empty(max(n - 1, 0))
-    if n > 1:
-        off[0] = math.sqrt(4.0 * (1 + a) * (1 + b) / ((apb + 2) ** 2 * (apb + 3)))
-    if n > 2:
-        kk = k[2:]
-        num = 4.0 * kk * (kk + a) * (kk + b) * (kk + apb)
-        den = (2 * kk + apb) ** 2 * (2 * kk + apb + 1.0) * (2 * kk + apb - 1.0)
-        off[1:] = np.sqrt(num / den)
-    jm = np.diag(diag)
-    if n > 1:
-        jm += np.diag(off, 1) + np.diag(off, -1)
-    vals, vecs = np.linalg.eigh(jm)
-    mu0 = math.exp(
-        (apb + 1) * math.log(2.0)
-        + math.lgamma(a + 1.0)
-        + math.lgamma(b + 1.0)
-        - math.lgamma(apb + 2.0)
-    )
-    weights = mu0 * vecs[0, :] ** 2
-    return vals, weights
+# endpoint_power_rule: first t (w = 1/2 to 1e-22), log of the floor past
+# which w^(Re alpha) is dropped, step in t for a real order, most nodes
+_DE_T0, _DE_FLOOR, _DE_STEP, _DE_MAX_NODES = -3.5, 39.2, 0.1, 4096
 
 
-def jacobi_unit_interval(n: int, exp_at_one: float, exp_at_zero: float):
-    """Nodes/weights for u^exp_at_zero (1-u)^exp_at_one * smooth(u) on (0, 1).
+@lru_cache(maxsize=64)
+def endpoint_power_rule(alpha: complex):
+    """Nodes w and weights c with int_0^(1/2) w^(alpha-1) g(w) dw = sum c g(w)
+    for g smooth on [0, 1/2] and any complex alpha, Re alpha > 0.
 
-    Returns (u, w) so that the integral equals sum(w * smooth(u)); the
-    singular endpoint powers are absorbed into the weights.
+    Double-exponential rule (Takahasi & Mori, Publ. RIMS 9 (1974)):
+    w = 1 / (2 (1 + e^s)), s = pi sinh t, trapezoid in t, so each weight
+    carries the whole power w^alpha.  t runs from _DE_T0 to where
+    w^(Re alpha) < e^-_DE_FLOOR (1e-17), in steps of _DE_STEP, shortened by
+    Re alpha / |Im alpha| where the phase of w^(i Im alpha) turns faster
+    than the modulus falls.  Weights are formed from log w: w underflows for
+    Re alpha < 0.06.  Past _DE_MAX_NODES nodes (Re alpha near 0) it raises
+    NumericalError.
     """
-    x, w = gauss_jacobi(n, exp_at_one, exp_at_zero)
-    u = 0.5 * (x + 1.0)
-    scale = 0.5 ** (exp_at_one + exp_at_zero + 1.0)
-    return u, w * scale
+    a = alpha.real
+    h = _DE_STEP * a / max(a, abs(alpha.imag))
+    n = math.ceil((math.asinh(_DE_FLOOR / (math.pi * a)) - _DE_T0) / h) + 1
+    if n > _DE_MAX_NODES:
+        raise NumericalError(f"endpoint rule for w^(alpha-1), alpha={alpha}, needs {n} nodes")
+    t = _DE_T0 + h * np.arange(n)
+    s = math.pi * np.sinh(t)
+    log_w = -math.log(2.0) - np.logaddexp(0.0, s)
+    # dw = -w e^s / (1 + e^s) pi cosh t dt
+    log_c = np.log(h * math.pi * np.cosh(t)) - np.logaddexp(0.0, -s)
+    return np.exp(log_w), np.exp(log_c + alpha * log_w)
 
 
 def equal_panels(t_lo: float, t_hi: float, panel_width: float, nodes_per_panel: int):

@@ -10,15 +10,14 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import jv as scipy_jv, roots_jacobi
+from scipy.special import jv as scipy_jv
 
 from foxh.bessel import bessel_j, phase_breakpoints
 from foxh.classical import hankel_mod
-from foxh.errors import DivergentIntegralError
+from foxh.errors import DivergentIntegralError, NumericalError
 from foxh.quadrature import (
+    endpoint_power_rule,
     equal_panels,
-    gauss_jacobi,
-    jacobi_unit_interval,
     trapezoid_line,
     wynn_epsilon,
 )
@@ -54,21 +53,21 @@ def test_phase_breakpoints_near_true_zeros():
     assert np.max(np.abs(mine - ref)) < 5e-3
 
 
-def test_gauss_jacobi_vs_scipy():
-    for a, b in ((0.0, 0.0), (-0.5, 0.0), (1.3, -0.25), (0.7, 2.0)):
-        x1, w1 = gauss_jacobi(24, a, b)
-        x2, w2 = roots_jacobi(24, a, b)
-        assert np.max(np.abs(np.sort(x1) - np.sort(x2))) < 1e-12
-        assert np.max(np.abs(w1 - w2)) < 1e-12
+@pytest.mark.parametrize("alpha", [0.02, 0.06, 0.4, 1.0, 1.8, 6.0, 0.8 + 0.1j,
+                                   0.3 + 0.3j, 0.5 + 2j, 0.5 + 5j, 1.5 + 3j,
+                                   0.016 + 0.23j])
+def test_endpoint_power_rule_moments(alpha):
+    # int_0^(1/2) w^(alpha-1) dw = 2^-alpha / alpha
+    w, c = endpoint_power_rule(complex(alpha))
+    exact = 2.0 ** -complex(alpha) / alpha
+    assert abs(np.sum(c) - exact) < 1e-13 * abs(exact)
+    assert np.all((w >= 0.0) & (w <= 0.5))
 
 
-def test_jacobi_unit_interval_beta_integral():
-    # integral of u^{b}(1-u)^{a} du = B(b+1, a+1)
-    a, b = 0.75, -0.3
-    u, w = jacobi_unit_interval(40, a, b)
-    val = float(np.sum(w))
-    exact = math.gamma(b + 1) * math.gamma(a + 1) / math.gamma(a + b + 2)
-    assert abs(val - exact) < 1e-13
+def test_endpoint_power_rule_refuses_order_near_zero():
+    # the phase of w^(0.4i) against the modulus w^(1e-6) would take ~1e8 nodes
+    with pytest.raises(NumericalError, match="endpoint rule"):
+        endpoint_power_rule(1e-6 + 0.4j)
 
 
 def test_equal_panels_polynomial_exactness():

@@ -445,6 +445,35 @@ def test_ek_defect_draw_against_mpmath():
             assert abs(val - ref) < 1e-10 * abs(ref), tau
 
 
+@pytest.mark.parametrize("alpha", [0.8 + 0.1j, 0.8 + 0.5j, 0.3 + 0.3j, 1.5 + 0.8j])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_ek_complex_order_against_mpmath(side, alpha):
+    # the head's weights carry (1-u)^(alpha-1), phase and all.  mpmath takes
+    # the defining average over u = (t/x)^(+-sigma) in w = 1 - u, and
+    # w = e^-v on w < 1/2, which carries the endpoint power
+    sigma, eta = 0.9, 0.6
+    f = TestFunction.power_exp(0.5, 1.0)
+    xs = np.exp([-1.0, 0.3, 1.0])
+    val = ek_fractional(side, alpha, sigma, eta, f, xs)
+    a = mpmath.mpc(alpha)
+    with mpmath.workdps(20):
+        for x, got in zip(xs, val):
+            if side == "left":
+                def g(u):
+                    t = x * u ** (1 / sigma)
+                    return u ** eta * mpmath.sqrt(t) * mpmath.exp(-t)
+            else:
+                def g(u):
+                    t = x * u ** (-1 / sigma)
+                    return u ** (eta - 1) * mpmath.sqrt(t) * mpmath.exp(-t)
+            l2 = mpmath.log(2)
+            ref = mpmath.quad(lambda w: w ** (a - 1) * g(1 - w), [0.5, 1])
+            ref += mpmath.quad(lambda v: mpmath.exp(-a * v) * g(1 - mpmath.exp(-v)),
+                               [l2, l2 + 1, l2 + 4, l2 + 16, l2 + 64, mpmath.inf])
+            ref = complex(ref / mpmath.gamma(a))
+            assert abs(got - ref) < 1e-9 * abs(ref), x
+
+
 @pytest.mark.parametrize("rate, alpha, sigma", [
     (1.3, 1.0, 0.8), (0.9, 0.6, 1.2), (2.1, 1.7 + 0.3j, 0.7), (0.4 - 0.2j, 0.9, 2.5),
 ])
@@ -601,6 +630,16 @@ def test_hankel_slow_decay_settles_early():
 
     hankel_mod(0.56, 1.86, counted, np.exp(np.linspace(-2.0, 3.0, 41)))
     assert count[0] < 200_000
+
+
+def test_hankel_support_starting_past_the_first_arches():
+    # f = e^-t on [2, 60]: at x = 3 the head and the first arch see no mass,
+    # and a zero term must not settle a zero sum.  mpmath gives
+    # int_2^60 (3t)^(1/2) J_0(3t) e^-t dt = 0.0335744350937; the rest of the
+    # gap is the grid's edges falling inside arch panels
+    t = np.geomspace(2.0, 60.0, 4000)
+    val = hankel_mod(1.0, 0.0, GridFunction(t, np.exp(-t)), 3.0)
+    assert abs(val - 0.0335744350937) < 5e-3 * 0.0335744350937
 
 
 # -- Laplace --------------------------------------------------------------------

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from foxh import derive_invariants, params_to_json
+from foxh import (SpaceSpec, TestFunction, derive_invariants, htransform_repr,
+                  params_to_json, validate_params)
 from foxh.cli import run_cli
 from foxh.mellin_barnes import _EVALUATOR_CACHE
 
@@ -71,6 +72,25 @@ def test_transform_routes(capsys):
     fields = lines[1].split(",")
     assert fields[1].startswith("5.0000000")
     assert fields[4] == "mellin"
+
+
+BETA_PARAMS = '{"m":1,"n":1,"p":1,"q":1,"upper":[[0,0,1]],"lower":[[0,0,1]]}'
+
+
+@pytest.mark.parametrize("lam", ["1", "-1"])
+def test_transform_repr_route_json(capsys, lam):
+    code, out, _ = run(capsys, "transform", "--params", BETA_PARAMS, "--nu", "0.5",
+                       "--r", "2", "--f", "exp", "--x", "0.5", "2", "--route", "repr",
+                       "--lambda", lam, "--h", "1", "--format", "json")
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["route"] == "repr"
+    ref = htransform_repr(validate_params(1, 1, 1, 1, [(0.0, 1.0)], [(0.0, 1.0)]),
+                          TestFunction.builtin("exp"), float(lam), 1.0, [0.5, 2.0],
+                          SpaceSpec(0.5, 2.0))
+    got = np.array([complex(row["re"], row["im"]) for row in blob["rows"]])
+    # the JSON keeps 12 significant digits
+    assert np.all(np.abs(got - ref.values) < 1e-11 * np.abs(ref.values))
 
 
 # the canonical case 2 kernel at nu = 0.5, r = 2: its plan ends in EK

@@ -376,6 +376,13 @@ def test_repr_route_boundary_rejected():
         htransform_repr(EXP_K, F_EXP, thr, 1.0, XS, SP)
 
 
+def test_repr_route_inadmissible_augmented_kernel():
+    params, nu, _ = canonical_params(1)
+    with pytest.raises(HypothesisError,
+                       match="augmented kernel inadmissible for direct evaluation"):
+        htransform_repr(params, F_EXP, 1.0, 1.0, XS, SpaceSpec(nu, 2.0))
+
+
 def test_plan_route_exp_kernel():
     plan = plan_factorization(EXP_K, 0.5, 2.0)
     res = apply_plan(plan, F_EXP, XS)
@@ -484,10 +491,39 @@ def test_plan_route_ek_left_chain_meets_mellin_on_gauss():
     assert np.max(np.abs(m.values - p.values)) < 1e-9 * np.max(np.abs(m.values))
 
 
+@pytest.mark.parametrize("lower, nu", [((-0.8978 - 0.3885j, 1.18627), -0.1284),
+                                       ((-0.6, 1.3), -0.3)])
+def test_plan_basic_kernel_with_zero_re_omega(lower, nu):
+    # H^{1,0}_{0,1}[(b, beta)] is case 6 with omega = i Im b; rounding makes
+    # Re omega -1.1e-16, which must not add an EK step of order ~1e-16
+    params = validate_params(1, 0, 0, 1, [], [lower])
+    plan = plan_factorization(params, nu, 2.0)
+    assert abs(plan.chain_params["omega"].real) < 1e-12
+    assert [op.kind for op in plan.chain] == ["reflect", "multiplier", "reflect",
+                                              "laplace", "dilate"]
+    xs = np.array([0.5, 1.3, 3.0])
+    m = htransform_mellin(params, F_TEXP, xs, SpaceSpec(nu, 2.0))
+    p = apply_plan(plan, F_TEXP, xs)
+    assert np.max(np.abs(m.values - p.values)) < 1e-9 * np.max(np.abs(m.values))
+
+
+def test_plan_route_complex_ek_order_meets_mellin():
+    # a case 6 chain ending in a right EK step of order 0.22 + 0.63i
+    params = validate_params(2, 0, 0, 2, [], [(0.8384 - 0.3298j, 1.4011),
+                                             (0.3293 - 0.2998j, 0.821)])
+    plan = plan_factorization(params, 0.45, 2.0)
+    ek = plan.chain[-2]
+    assert ek.kind == "ek-right" and abs(complex(ek.alpha).imag) > 0.5
+    xs = np.array([0.5, 1.3, 3.0])
+    m = htransform_mellin(params, F_TEXP, xs, SpaceSpec(0.45, 2.0))
+    p = apply_plan(plan, F_TEXP, xs)
+    assert np.max(np.abs(m.values - p.values)) < 1e-9 * np.max(np.abs(m.values))
+
+
 @pytest.mark.parametrize("case, n_x, tables", [(2, 3, 0), (2, 64, 1), (3, 3, 1)])
 def test_plan_route_tabulates_for_hankel_and_many_ek_arguments(case, n_x, tables,
                                                                monkeypatch):
-    # EK samples its input on its own lattice until 80 head nodes per
+    # EK samples its input on its own lattice until its head nodes per
     # argument outnumber a table's points (about 1.6k here); Hankel always
     # reads a table
     calls = []
