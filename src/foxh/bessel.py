@@ -21,10 +21,11 @@ _ASYM_TERMS = 18
 
 
 def _series_coeffs(eta: complex) -> np.ndarray:
-    j = np.arange(_SERIES_TERMS)
-    lg = log_gamma(j + 1.0)
-    lge = log_gamma(eta + j + 1.0)
-    return (-1.0) ** j * np.exp(-lg - lge)
+    """(-1)^j / (j! Gamma(eta + j + 1)) for j < _SERIES_TERMS, by recurrence."""
+    c = [complex(np.exp(-log_gamma(eta + 1.0)))]
+    for j in range(1, _SERIES_TERMS):
+        c.append(-c[-1] / (j * (eta + j)))
+    return np.array(c)
 
 
 def _asym_coeffs(eta: complex) -> np.ndarray:

@@ -45,6 +45,17 @@ def test_bessel_complex_order_vs_mpmath():
         assert abs(complex(bessel_j(eta, z)[0]) - ref) < 2e-11
 
 
+@pytest.mark.parametrize("eta", [-0.3, 0.0, 0.7, 1.6, 0.5 + 0.8j, 2.5 - 1.2j,
+                                 -0.6 + 0.3j])
+def test_bessel_ascending_series_vs_mpmath(eta):
+    # the series branch (z <= 12) cancels terms of up to about 1e3, so its
+    # coefficients must be good to a few ulps each
+    z = np.linspace(0.05, 12.0, 240)
+    with mpmath.workdps(30):
+        ref = np.array([complex(mpmath.besselj(mpmath.mpc(eta), x)) for x in z])
+    assert np.max(np.abs(bessel_j(eta, z) - ref)) < 2e-12
+
+
 def test_phase_breakpoints_near_true_zeros():
     from scipy.special import jn_zeros
 
