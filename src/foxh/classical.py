@@ -444,21 +444,23 @@ def _decay_truncation(F, gamma_line: float, tol: float):
     """Find T with |F| negligible beyond it on the line Re s = gamma_line.
 
     |F| at T is judged against the largest |F| seen, at the heights tried so
-    far and at two fixed points near the real axis, sampled once.
+    far and at two fixed points near the real axis.  F is sampled once, at
+    those two points and at every height 5, 5 x 1.6, ... up to 400.
     """
-    near = float(np.max(np.abs(np.asarray(
-        F(np.array([gamma_line + 0.3j, gamma_line + 1.9j]))))))
-    scale = 0.0
+    heights = []
     T = 5.0
     while T <= 400.0:
-        sample = np.abs(np.asarray(
-            F(np.array([gamma_line + 1j * T, gamma_line + 1.07j * T, gamma_line - 1j * T]))
-        ))
+        heights.append(T)
+        T *= 1.6
+    probes = np.multiply.outer(heights, [1j, 1.07j, -1j]).ravel()
+    mags = np.abs(np.asarray(F(gamma_line + np.concatenate([[0.3j, 1.9j], probes]))))
+    near = float(np.max(mags[:2]))
+    scale = 0.0
+    for T, sample in zip(heights, mags[2:].reshape(-1, 3)):
         m = float(np.max(sample))
         scale = max(scale, m, near)
         if m <= tol * scale / max(T, 1.0):
             return T
-        T *= 1.6
     raise DivergentIntegralError("no decay on the inversion line")
 
 

@@ -771,7 +771,14 @@ class TransformResult:
 
 def htransform_direct(params: HParams, f, xs, space: SpaceSpec,
                       tol: float = 1e-9) -> TransformResult:
-    """Transform as the defining integral, kernel from contour quadrature."""
+    """Transform as the defining integral, kernel from contour quadrature.
+
+    (Hf)(x) = int H(x e^tau) f(e^tau) e^tau dtau by trapezoid_line.  Its
+    integrand gets each sweep block as Runs in arithmetic progression, so
+    the kernel is read on ln x + run through LineRule.progression: phase
+    tables kept on the kernel's line rule, and G + P exponentials per run,
+    not one per argument and node.
+    """
     inv = derive_invariants(params)
     ok, reason = admissible_range(inv, space, "direct-integral")
     if not ok:
@@ -784,9 +791,12 @@ def htransform_direct(params: HParams, f, xs, space: SpaceSpec,
     values = np.empty(xs_arr.shape, dtype=complex)
     errs = np.empty(xs_arr.shape, dtype=float)
     for i, xv in enumerate(xs_arr):
-        def g(tau):
-            t = np.exp(tau)
-            return kernel(math.log(xv) + tau) * np.asarray(f(t), dtype=complex) * t
+        logx = math.log(xv)
+
+        def g(run):
+            t = np.exp(run)
+            return (kernel.progression(logx + run.start, run.step, run.size)
+                    * np.asarray(f(t), dtype=complex) * t)
 
         val, err = trapezoid_line(g, tol=tol)
         values[i] = val

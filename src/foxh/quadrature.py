@@ -21,6 +21,17 @@ complex exponentials and one product, and its memory is L x P, against
 L P G exponentials and an L x N matrix (N = P G) for the dense form.  The
 splitting is the one behind fast sums at non-equispaced nodes (Dutt &
 Rokhlin, SIAM J. Sci. Comput. 14 (1993)); here it needs no approximation.
+
+Arguments in arithmetic progression, l_j = l0 + j delta, split once more:
+e^(-i l_j t) = e^(-i l0 t) e^(-i j delta t).  The second factor, at t =
+off_g and t = mid_p, is a table that depends only on |delta| and the
+nodes, so a LineRule keeps it (LineRule.progression).  A run of n <= _BLOCK
+arguments then costs G + P exponentials, n G products to scale the
+offsets' table, one (n x G)(G x P) product, an n x P multiply and one
+(n x P)(P) product that weights the panels by e^(-i l0 mid_p): no
+exponential per argument, against n (G + P) for panel_sums.  The direct
+route meets such runs: trapezoid_line hands its integrand the points of
+each sweep block as two Runs.
 """
 
 from __future__ import annotations
@@ -88,6 +99,17 @@ def equal_panels(t_lo: float, t_hi: float, panel_width: float, nodes_per_panel: 
     return mid, 0.5 * width * x, 0.5 * width * w
 
 
+def _panel_terms(phase, mid, off, coeff):
+    """phase(mid)[..., p] times the sum over g of coeff[p, g] phase(off)[..., g],
+    one term per panel p: a (... x G)(G x P) product and a multiply.
+
+    phase(t) gives the factors e^(-i l t) of every argument l at the nodes
+    t; the offsets' factors are freed before the panels' are made.
+    """
+    inner = phase(off) @ coeff.T
+    return phase(mid) * inner
+
+
 def panel_sums(l, mid, off, coeff):
     """sum over p, g of coeff[p, g] e^(-i l (mid[p] + off[g])) for each entry
     of the real array l, shaped like l.
@@ -95,8 +117,8 @@ def panel_sums(l, mid, off, coeff):
     coeff has shape (mid.size, off.size).  One exponential per (l, panel)
     and per (l, offset), and one matrix product (see the module docstring).
     """
-    inner = np.exp(-1j * np.multiply.outer(l, off)) @ coeff.T
-    return np.sum(np.exp(-1j * np.multiply.outer(l, mid)) * inner, axis=-1)
+    return np.sum(_panel_terms(lambda t: np.exp(-1j * np.multiply.outer(l, t)),
+                               mid, off, coeff), axis=-1)
 
 
 class LineRule:
@@ -107,7 +129,11 @@ class LineRule:
     F(gamma + i (mid[p] + off[g])) w[g] / (2 pi).  rule(logx) gives the sums,
     shaped like logx, through panel_sums: L (P + G) exponentials and one
     L x G x P product for L arguments, P panels and G nodes per panel, and
-    memory L x P.
+    memory L x P.  rule.progression(l0, step, n) gives them at l0 + j step,
+    n <= _BLOCK, from phase tables kept per |step| (see the module
+    docstring): G + P exponentials per call, and memory _BLOCK x (P + G) per
+    step, for at most _MAX_HALVINGS + 1 steps, plus P x G for conj(coeff)
+    once a step is negative.
     """
 
     def __init__(self, F, gamma: float, T: float, nodes_per_unit: int):
@@ -116,10 +142,51 @@ class LineRule:
         s = gamma + 1j * (self.mid[:, None] + self.off)
         self.coeff = (np.asarray(F(s.ravel()), dtype=complex).reshape(s.shape)
                       * w / (2.0 * math.pi))
+        self._tables, self._conj_coeff = {}, None
 
     def __call__(self, logx):
         logx = np.asarray(logx, dtype=float)
         return np.exp(-self.gamma * logx) * panel_sums(logx, self.mid, self.off, self.coeff)
+
+    def progression(self, l0: float, step: float, n: int):
+        """The sums at the n <= _BLOCK arguments l0 + j step, j < n.
+
+        e^(-i j |step| t) comes from the tables of |step| (_phase_tables),
+        e^(-i l0 t) from G + P exponentials: those at the offsets scale the
+        offsets' table before the product, and those at the panels, common
+        to every argument, weight the sum over the panels.  A negative step
+        reads the conjugate tables: its sums are the conjugates of the sums
+        over conj(coeff) at -l0 + j |step|.
+        """
+        coeff, base = self.coeff, l0
+        if step < 0:
+            if self._conj_coeff is None:
+                self._conj_coeff = np.conj(self.coeff)
+            coeff, base = self._conj_coeff, -l0
+        off_table, mid_table = self._phase_tables(abs(step))
+
+        def phase(t):
+            if t is self.mid:
+                return mid_table[:n]
+            return off_table[:n] * np.exp(-1j * base * t)
+
+        sums = _panel_terms(phase, self.mid, self.off, coeff) @ np.exp(-1j * base * self.mid)
+        if step < 0:
+            np.conjugate(sums, out=sums)
+        return np.exp(-self.gamma * (l0 + step * np.arange(n))) * sums
+
+    def _phase_tables(self, step: float):
+        """e^(-i j step off[g]) and e^(-i j step mid[p]) for j < _BLOCK,
+        built once per step >= 0.  The cache holds at most _MAX_HALVINGS + 1
+        steps, as many as one trapezoid_line call takes."""
+        tables = self._tables.get(step)
+        if tables is None:
+            if len(self._tables) > _MAX_HALVINGS:
+                self._tables.clear()
+            jstep = step * np.arange(_BLOCK)
+            tables = self._tables[step] = (np.exp(-1j * np.multiply.outer(jstep, self.off)),
+                                           np.exp(-1j * np.multiply.outer(jstep, self.mid)))
+        return tables
 
 
 def refine_line(F, gamma: float, T: float, logx, nodes_per_unit: int, tol: float):
@@ -142,21 +209,43 @@ def refine_line(F, gamma: float, T: float, logx, nodes_per_unit: int, tol: float
     return fine, np.abs(fine - coarse)
 
 
+class Run(np.ndarray):
+    """The points origin + step * k for the integers k of idx, in arithmetic
+    progression: a float array that also carries its first point start and
+    its step, so that an integrand may evaluate on the progression as a
+    whole.  Ufuncs on a run, in place too, give plain arrays."""
+
+    def __new__(cls, origin: float, step: float, idx):
+        run = (origin + step * idx).view(cls)
+        run.start, run.step = float(run[0]), step
+        return run
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        def plain(x):
+            return np.asarray(x) if isinstance(x, Run) else x
+
+        if "out" in kwargs:
+            kwargs["out"] = tuple(map(plain, kwargs["out"]))
+        return getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+
+
 def _sweep(g, spacing: float, offset: float, tol: float):
     """Sum of g over {+-(offset + spacing*k), k >= 0}, times spacing.
 
     Sweeps outward in blocks until the block maximum is negligible against
-    the largest sample seen.  For offset == 0 the k=0 lattice point appears
-    in both directions and is counted once; for offset > 0 the two
-    directions interleave without overlap (together they tile the shifted
-    lattice offset + k*spacing).
+    the largest sample seen.  Each block is two Runs of _BLOCK points,
+    offset + spacing*k and its mirror -offset - spacing*k, and g takes one
+    run per call.  For offset == 0 the k=0 lattice point appears in both
+    directions and is counted once; for offset > 0 the two directions
+    interleave without overlap (together they tile the shifted lattice
+    offset + k*spacing).
     """
     total, scale, amax = 0j, 0.0, 0.0
     k0 = 0
     while spacing * k0 < _MAX_SPAN:
         idx = np.arange(k0, k0 + _BLOCK)
-        taus = np.concatenate([offset + spacing * idx, -offset - spacing * idx])
-        vals = np.array(g(taus), dtype=complex)
+        vals = np.concatenate([np.asarray(g(Run(offset, spacing, idx)), dtype=complex),
+                               np.asarray(g(Run(-offset, -spacing, idx)), dtype=complex)])
         if k0 == 0 and offset == 0.0:
             vals[_BLOCK] = 0.0
         if not np.all(np.isfinite(vals)):
@@ -181,8 +270,10 @@ def _sweep(g, spacing: float, offset: float, tol: float):
 def trapezoid_line(g, *, tol: float = 1e-12):
     """Integrate vectorized g over the whole real line by trapezoid sums.
 
-    g must decay at least exponentially in both directions.  Step halving
-    reuses previous lattice points and stops once two estimates agree to
+    g must decay at least exponentially in both directions.  It is called
+    on one Run at a time (_sweep): _BLOCK points in arithmetic progression,
+    which it may treat as a plain array.  Step halving reuses previous
+    lattice points and stops once two estimates agree to
     tol * max(1, |value|).  Returns (value, error_estimate) as a complex and
     a float.
     """

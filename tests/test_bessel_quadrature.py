@@ -16,6 +16,7 @@ from foxh.bessel import bessel_j, phase_breakpoints
 from foxh.classical import hankel_mod
 from foxh.errors import DivergentIntegralError, NumericalError
 from foxh.quadrature import (
+    Run,
     endpoint_power_rule,
     equal_panels,
     trapezoid_line,
@@ -106,6 +107,24 @@ def test_trapezoid_line_closed_forms(g, exact, atol):
     val, err = trapezoid_line(g, tol=1e-12)
     assert abs(val - exact) < atol
     assert abs(val - exact) <= max(err, 1e-13)
+
+
+def test_trapezoid_line_hands_g_arithmetic_runs():
+    runs = []
+
+    def g(tau):
+        assert isinstance(tau, Run) and tau.start == tau[0]
+        assert type(tau * 2.0) is np.ndarray and type(np.exp(tau)) is np.ndarray
+        runs.append((tau.start, tau.step, np.array(tau)))
+        tau *= tau  # in place, as on a plain array
+        return np.exp(-tau)
+
+    val, _ = trapezoid_line(g, tol=1e-13)
+    assert abs(val - math.sqrt(math.pi)) < 1e-12
+    for start, step, points in runs:
+        assert points.size == 64
+        assert np.allclose(points, start + step * np.arange(64), rtol=0, atol=1e-12)
+    assert {step for _, step, _ in runs} == {0.5, -0.5}
 
 
 def test_trapezoid_line_zero_integrand():

@@ -23,11 +23,17 @@ from foxh import (
     mellin_inverse_numeric,
     mellin_numeric,
 )
-from foxh.classical import _ek_taps, _line_rule, mellin_line_samples, support_of
+from foxh.classical import (
+    _decay_truncation,
+    _ek_taps,
+    _line_rule,
+    mellin_line_samples,
+    support_of,
+)
 from foxh.engine import Dilate, LiveFunction, PowerWeight, Reflect, tabulate
-from foxh.gammasym import GammaSymbol
+from foxh.gammasym import GammaSymbol, symbol_from_params
 
-from conftest import exp_series
+from conftest import canonical_params, exp_series
 
 EXPF = TestFunction.power_exp(0.0, 1.0)
 
@@ -194,8 +200,39 @@ def test_inverse_mellin_constant_refused():
 
     with pytest.raises(DivergentIntegralError, match="decay"):
         mellin_inverse_numeric(flat, 0.5, 1.0)
-    # two scale points sampled once, then one sample per height tried
-    assert len(calls) == 11
+    # one batch: two scale points and three points at each of the ten
+    # heights 5 x 1.6^k <= 400
+    assert [np.size(s) for s in calls] == [32]
+
+
+def _decay_truncation_by_height(F, gamma_line, tol):
+    """_decay_truncation's rule with F probed one height at a time."""
+    near = np.max(np.abs(F(np.array([gamma_line + 0.3j, gamma_line + 1.9j]))))
+    scale, T = 0.0, 5.0
+    while T <= 400.0:
+        m = np.max(np.abs(F(gamma_line + np.array([1j * T, 1.07j * T, -1j * T]))))
+        scale = max(scale, m, near)
+        if m <= tol * scale / max(T, 1.0):
+            return T
+        T *= 1.6
+    return None
+
+
+@pytest.mark.parametrize("case", range(1, 10))
+def test_decay_truncation_batch_keeps_the_per_height_rule(case):
+    params, nu, _ = canonical_params(case)
+    sym = symbol_from_params(params)
+
+    def F(s):
+        return sym.eval(s) * EXPF.mellin(1.0 - s)
+
+    for tol in (1e-6, 1e-10, 1e-14):
+        ref = _decay_truncation_by_height(F, 1.0 - nu, tol)
+        if ref is None:
+            with pytest.raises(DivergentIntegralError):
+                _decay_truncation(F, 1.0 - nu, tol)
+        else:
+            assert _decay_truncation(F, 1.0 - nu, tol) == ref
 
 
 # -- elementary operators ----------------------------------------------------

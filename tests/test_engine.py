@@ -55,6 +55,8 @@ from foxh.engine import (
     chain_action,
     tabulate,
 )
+from foxh.mellin_barnes import kernel_evaluator
+from foxh.quadrature import LineRule, trapezoid_line
 
 from conftest import canonical_params, random_params
 
@@ -327,6 +329,51 @@ def test_direct_route_exp_kernel():
     res2 = htransform_direct(EXP_K, F_TEXP, XS, SP)
     oracle2 = 1.0 / (1.0 + XS) ** 2
     assert np.max(np.abs(res2.values - oracle2) / oracle2) < 1e-9
+
+
+def _pointwise_direct(params, f, x, tol):
+    """htransform_direct's integral at x with the kernel read point by point
+    (LineRule.__call__) on its line rule."""
+    rule = kernel_evaluator(params, min(tol * 1e-2, 1e-10)).fine
+    logx = math.log(x)
+
+    def g(tau):
+        t = np.exp(tau)
+        return rule(logx + tau) * np.asarray(f(t), dtype=complex) * t
+
+    return trapezoid_line(g, tol=tol)[0]
+
+
+@pytest.mark.parametrize("case", range(5, 10))
+def test_direct_route_matches_pointwise_kernel_sums(case):
+    params, nu, r = canonical_params(case)
+    space = SpaceSpec(nu, r)
+    xs = [0.5, 1.3, 3.0]
+    got = htransform_direct(params, F_EXP, xs, space).values
+    ref = np.array([_pointwise_direct(params, F_EXP, x, 1e-9) for x in xs])
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("lam", [1.0, -1.0])
+def test_direct_route_matches_pointwise_on_augmented_beta_kernels(lam):
+    # the kernels htransform_repr integrates, at its stencil's tolerance
+    variant = "raise-upper" if lam > (1.0 - SP.nu) - 1.0 else "raise-lower"
+    aug = engine._augmented_params(BETA_K, lam, 1.0, variant)
+    xs = XS * (1.0 + 1e-3)
+    got = htransform_direct(aug, F_EXP, xs, SP, engine._REPR_TOL).values
+    ref = np.array([_pointwise_direct(aug, F_EXP, x, engine._REPR_TOL) for x in xs])
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_direct_route_never_sums_the_kernel_pointwise(monkeypatch):
+    def pointwise(rule, logx):
+        raise AssertionError("pointwise kernel line sum on the direct route")
+
+    monkeypatch.setattr(LineRule, "__call__", pointwise)
+    res = htransform_direct(EXP_K, F_EXP, XS, SP)
+    assert np.max(np.abs(res.values * (1.0 + XS) - 1.0)) < 1e-9
+    for lam in (1.0, -1.0):
+        htransform_repr(BETA_K, F_EXP, lam, 1.0, XS, SP)
 
 
 def test_mellin_route_exp_kernel():

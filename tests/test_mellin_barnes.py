@@ -232,3 +232,44 @@ def test_line_rule_memory_stays_below_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 0.1 * 64 * rule.coeff.size * 16
+
+
+# -- line sums on arithmetic progressions ---------------------------------------
+
+@pytest.mark.parametrize("case", range(1, 10))
+def test_line_rule_progression_matches_dense_long_double_sum(case):
+    params, nu, _ = canonical_params(case)
+    rule = LineRule(symbol_from_params(params).eval, 1.0 - nu, 20.0, 85)
+    steps = (0.5, -0.5, 0.25, -0.25, 0.0625, -0.0625)
+    for step, l0 in zip(steps, (-13.7, 21.1, 0.3, -30.2, 8.9, -0.6)):
+        # the runs of n arguments are prefixes of the longest
+        logx = l0 + step * np.arange(64)
+        dense = _dense_line_sum(rule, logx)
+        bound = 1e-13 * np.sum(np.abs(rule.coeff)) * np.exp(-rule.gamma * logx)
+        for n in (1, 2, 37, 64):
+            err = np.abs(rule.progression(l0, step, n) - dense[:n])
+            assert np.all(err <= bound[:n]), (step, n)
+
+
+def test_line_rule_progression_same_from_cached_or_fresh_tables():
+    params, nu, _ = canonical_params(7)
+    F = symbol_from_params(params).eval
+    warm = LineRule(F, 1.0 - nu, 30.0, 85)
+    for step in (0.5, -0.25, 0.0625):
+        warm.progression(4.0, step, 64)
+    for step in (0.5, -0.5, -0.25, 0.0625):
+        for n in (1, 37, 64):
+            fresh = LineRule(F, 1.0 - nu, 30.0, 85).progression(-2.3, step, n)
+            assert np.array_equal(warm.progression(-2.3, step, n), fresh)
+
+
+def test_line_rule_progression_memory_stays_below_dense_matrix():
+    rule = LineRule(symbol_from_params(LOW_A_STAR_K).eval, -0.9, 2540.0, 85)
+    assert rule.coeff.size >= 400_000
+    tracemalloc.start()
+    try:
+        rule.progression(-4.6, -0.0625, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 64 * rule.coeff.size * 16
