@@ -34,6 +34,7 @@ from .bessel import bessel_j, phase_breakpoints
 from .gammafn import log_gamma
 from .gammasym import GammaSymbol
 from .quadrature import (
+    Lattice,
     endpoint_power_rule,
     equal_panels,
     gauss_legendre,
@@ -264,7 +265,8 @@ class Support:
         new = []
         for ks in (np.arange(min(k_lo, k0), k0), np.arange(k1 + 1, max(k_hi, k1) + 1)):
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                new.append(np.abs(np.asarray(self.f(np.exp(_LATTICE * ks)), dtype=complex))
+                new.append(np.abs(np.asarray(self.f(Lattice(_LATTICE * ks, _LATTICE)),
+                                             dtype=complex))
                            if ks.size else np.zeros(0))
         self._mags = np.concatenate([new[0], self._mags, new[1]])
         self._k0 = min(k_lo, k0)
@@ -655,8 +657,8 @@ def _ek_tail(side: str, alpha: complex, sigma: float, eta: complex, f, x_arr):
     v = np.zeros(last - first + 1, dtype=complex)
     if live_hi >= live_lo:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            fv = np.asarray(f(np.exp((sign * np.arange(live_lo, live_hi + 1)) * h)),
-                            dtype=complex)
+            fv = np.asarray(f(Lattice((sign * np.arange(live_lo, live_hi + 1)) * h,
+                                      sign * h)), dtype=complex)
         v[live_lo - first:live_hi - first + 1] = np.where(np.isfinite(fv), fv, 0.0)
 
     # near taps, one dot product per row, over runs of consecutive blocks

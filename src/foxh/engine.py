@@ -59,7 +59,7 @@ from .params import (
     transpose_params,
     validate_params,
 )
-from .quadrature import LineRule, endpoint_power_rule, trapezoid_line
+from .quadrature import _BLOCK, Lattice, LineRule, endpoint_power_rule, trapezoid_line
 
 # Multiplier.apply's line: half height and Gauss-Legendre nodes per unit
 _MULTIPLIER_HALF_HEIGHT, _MULTIPLIER_NODES = 48.0, 16
@@ -78,15 +78,25 @@ class LiveFunction:
     is accepted and ignored.  support is fn's own Support record where fn
     keeps one, so every wrapper of fn shares its probes; else a fresh
     record without hard edges.
+
+    A quadrature.Lattice argument (tabulate's grid, the Support profile, the
+    EK tail) goes to on_lattice if given, with h > 0 (a lattice of step -h
+    is read reversed); else to fn unchanged, so wrappers hand it on.
     """
 
-    def __init__(self, fn, nu: float, _ignored=None):
-        self._fn = fn
+    def __init__(self, fn, nu: float, _ignored=None, *, on_lattice=None):
+        self._fn, self._on_lattice = fn, on_lattice
         self.nu = float(nu)
         rec = getattr(fn, "support", None)
         self.support = rec if isinstance(rec, Support) else Support(self)
 
     def __call__(self, x):
+        if isinstance(x, Lattice) and x.t0 is not None:
+            if self._on_lattice is None:
+                return np.asarray(self._fn(x), dtype=complex)
+            if x.h < 0:
+                return self._on_lattice(x.reversed())[::-1]
+            return self._on_lattice(x)
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return np.asarray(self._fn(x), dtype=complex)
 
@@ -145,7 +155,8 @@ def tabulate(live: LiveFunction, *, h: float = _TABLE_STEP,
     floor times its side's peak, joined with the window where
     |live| e^(weight tau) does (the weight a consuming step puts on the
     tails), widened by _TABLE_MARGIN; outside it the table returns zero.
-    A function that vanishes gives an empty grid.
+    A function that vanishes gives an empty grid.  live reads the grid as
+    one Lattice, so a chain step answers it in closed lattice form.
     """
     rec = support_of(live)
     wins = [w for w in (rec.window(0.0, floor), rec.window(weight, floor)) if w is not None]
@@ -156,7 +167,7 @@ def tabulate(live: LiveFunction, *, h: float = _TABLE_STEP,
     # as many points as np.arange(t_lo, t_hi + h, h), but placed exactly at
     # t_lo + i h, where the interpolant looks for them
     taus = t_lo + h * np.arange(math.ceil((t_hi + h - t_lo) / h))
-    return LogGrid(t_lo, h, live(np.exp(taus)), t_hi, live.nu)
+    return LogGrid(t_lo, h, live(Lattice(taus, h)), t_hi, live.nu)
 
 
 # outputs of the grid Laplace sum per block: its weights take _LAPLACE_ROWS x n
@@ -174,6 +185,11 @@ def _laplace_on_grid(kappa: float, alpha, grid: LogGrid, nu: float) -> LiveFunct
     |w| is one real exponent, non-finite entries 0; the phase
     e^(i Im(1 - alpha) s) of w splits into one factor per x and one per
     sample, so no complex exponent is taken per entry.
+
+    On a Lattice of step m grid.h (m >= 1 an integer) log x_j + taus[i] is
+    fine lattice point i + m j: w is taken there once and the outputs are
+    the direct correlation sum_i w[i + m j] values[i] (no FFT, so small
+    values keep their digits).  Other arguments take the dense sum.
     """
     a1 = 1.0 - complex(alpha)
     re_a, im_a, ak = a1.real, a1.imag, abs(kappa)
@@ -184,27 +200,45 @@ def _laplace_on_grid(kappa: float, alpha, grid: LogGrid, nu: float) -> LiveFunct
     # complex samples as (n, 2) real pairs: the product keeps real weights
     pairs = vals.view(float).reshape(-1, 2)
 
+    def weights(s):
+        with np.errstate(over="ignore", invalid="ignore"):
+            # built in place: s, w and one temporary are all that is held
+            w = np.exp(s / kappa)
+            w *= -ak
+            w += re_a * s
+            np.exp(w, out=w)
+        w[~np.isfinite(w)] = 0.0
+        return w
+
+    def finish(out, logx, x):
+        vals_x = out.view(complex).ravel()
+        if im_a:
+            vals_x = vals_x * np.exp(1j * im_a * logx)
+        return grid.h * vals_x.reshape(x.shape) / x
+
     def ev(x):
         if np.any(x <= 0):
             raise ParameterError("argument must be positive")
         logx = np.log(x).ravel()
         out = np.empty((logx.size, 2))
         for start in range(0, logx.size, _LAPLACE_ROWS):
-            s = logx[start:start + _LAPLACE_ROWS, None] + taus
-            with np.errstate(over="ignore", invalid="ignore"):
-                # built in place: s, w and one temporary are all that is held
-                w = np.exp(s / kappa)
-                w *= -ak
-                w += re_a * s
-                np.exp(w, out=w)
-            w[~np.isfinite(w)] = 0.0
-            out[start:start + _LAPLACE_ROWS] = w @ pairs
-        vals_x = out.view(complex).ravel()
-        if im_a:
-            vals_x = vals_x * np.exp(1j * im_a * logx)
-        return grid.h * vals_x.reshape(x.shape) / x
+            out[start:start + _LAPLACE_ROWS] = (
+                weights(logx[start:start + _LAPLACE_ROWS, None] + taus) @ pairs)
+        return finish(out, logx, x)
 
-    return LiveFunction(ev, nu)
+    def on_lattice(x):
+        m = round(x.h / grid.h)
+        if m < 1 or x.h != m * grid.h or taus.size == 0:
+            return ev(x)
+        n, n_in = x.size, taus.size
+        w = weights((x.t0 + taus[0]) + grid.h * np.arange(n_in + m * (n - 1)))
+        out = np.zeros((n, 2))
+        for r in range(min(m, n_in)):
+            for c in range(2):
+                out[:, c] += np.correlate(w[r::m], pairs[r::m, c], "valid")
+        return finish(out, x.t0 + x.h * np.arange(n), x)
+
+    return LiveFunction(ev, nu, on_lattice=on_lattice)
 
 
 def _out_weight(prim, nu: float) -> float:
@@ -217,10 +251,18 @@ def _out_weight(prim, nu: float) -> float:
     return (nu - complex(a).real) / b
 
 
-def _carried(prim, live, fn, sign: float, shift: float = 0.0) -> LiveFunction:
-    """prim's output fn(e^tau) = live(e^(sign tau + shift)) times a smooth
-    factor, as a LiveFunction that carries live's hard edges."""
-    out = LiveFunction(fn, _out_weight(prim, live.nu))
+def _carried(prim, live, fn, sign: float, shift: float = 0.0,
+             power: complex = 0.0) -> LiveFunction:
+    """prim's output fn(e^tau) = e^(power tau) live(e^(sign (tau - shift))),
+    as a LiveFunction that carries live's hard edges.  On a Lattice it reads
+    live on the lattice sign (tau - shift), which live may answer in closed
+    form in turn, and multiplies by e^(power tau)."""
+    def on_lattice(x):
+        taus = x.t0 + x.h * np.arange(x.size)
+        vals = live(Lattice(sign * (taus - shift), sign * x.h))
+        return vals * np.exp(power * taus) if power else vals
+
+    out = LiveFunction(fn, _out_weight(prim, live.nu), on_lattice=on_lattice)
     ends = [None if e is None else sign * e + shift for e in support_of(live).hard]
     out.support = Support(out, ends if sign > 0 else ends[::-1])
     return out
@@ -268,7 +310,7 @@ class Reflect(_Step):
         return GammaSymbol.one(), 1.0, -1.0
 
     def apply(self, live: LiveFunction) -> LiveFunction:
-        return _carried(self, live, lambda x: live(1.0 / x) / x, -1.0)
+        return _carried(self, live, lambda x: live(1.0 / x) / x, -1.0, power=-1.0)
 
 
 @dataclass(frozen=True)
@@ -281,7 +323,8 @@ class PowerWeight(_Step):
 
     def apply(self, live: LiveFunction) -> LiveFunction:
         zeta = complex(self.zeta)
-        return _carried(self, live, lambda x: np.exp(zeta * np.log(x)) * live(x), 1.0)
+        return _carried(self, live, lambda x: np.exp(zeta * np.log(x)) * live(x), 1.0,
+                        power=zeta)
 
 
 @dataclass(frozen=True)
@@ -305,6 +348,9 @@ class Multiplier(_Step):
     symbol: GammaSymbol
     label: str
     strip: tuple = field(metadata=_UNDESCRIBED)
+    # the phase tables of the contour's nodes, which every apply's rule shares
+    tables: dict = field(default_factory=dict, init=False, repr=False, compare=False,
+                         metadata=_UNDESCRIBED)
     kind = "multiplier"
 
     def mellin_action(self):
@@ -322,25 +368,34 @@ class Multiplier(_Step):
     def apply(self, live: LiveFunction) -> LiveFunction:
         nu_c = live.nu
         rule = LineRule(lambda s: self.symbol.eval(s) * mellin_line_samples(live, s),
-                        nu_c, _MULTIPLIER_HALF_HEIGHT, _MULTIPLIER_NODES)
-        # zero numerically dead contour nodes and drop panels left without any
+                        nu_c, _MULTIPLIER_HALF_HEIGHT, _MULTIPLIER_NODES, self.tables)
+        # zero numerically dead contour nodes; the nodes stay those of the
+        # shared tables
         mags = np.abs(rule.coeff)
         keep = mags > np.max(mags) * 1e-18
         # below this x^(-nu)-scaled floor the truncated inversion is noise
         noise_const = float(np.sum(mags[~keep]) + np.sum(mags[keep]) * 1e-15)
-        live_panels = keep.any(axis=1)
-        rule.mid, rule.coeff = rule.mid[live_panels], np.where(keep, rule.coeff, 0.0)[live_panels]
+        rule.coeff = np.where(keep, rule.coeff, 0.0)
         # the discrete contour sum aliases beyond its resolution horizon
         horizon = 0.75 * math.pi * _MULTIPLIER_NODES
 
-        def ev(x):
-            logx = np.log(x)
-            vals = rule(logx)
+        def cut(logx, vals):
             floor = noise_const * np.exp(-nu_c * logx)
             vals = np.where(np.abs(vals) > 12.0 * floor, vals, 0.0)
             return np.where(np.abs(logx) <= horizon, vals, 0.0)
 
-        return LiveFunction(ev, _out_weight(self, nu_c))
+        def ev(x):
+            logx = np.log(x)
+            return cut(logx, rule(logx))
+
+        def on_lattice(x):
+            # runs of at most _BLOCK points, summed from the rule's phase tables
+            logx = x.t0 + x.h * np.arange(x.size)
+            return cut(logx, np.concatenate([
+                rule.progression(logx[k], x.h, min(_BLOCK, x.size - k))
+                for k in range(0, x.size, _BLOCK)]))
+
+        return LiveFunction(ev, _out_weight(self, nu_c), on_lattice=on_lattice)
 
 
 @dataclass(frozen=True)

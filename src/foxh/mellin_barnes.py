@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -165,7 +166,8 @@ class KernelEvaluator:
     truncation height is sized so the envelope tail stays below the target
     even against the worst x^(-gamma) amplification in that range, and the
     node density by _nodes_per_unit.  The LineRule fine gives the kernel
-    values; a coarser one estimates their error.
+    values; a coarser one, built on eval's first call (the direct route
+    reads only fine), estimates their error.
     """
 
     def __init__(self, params: HParams, target_abs_err: float, log_span: float):
@@ -182,9 +184,14 @@ class KernelEvaluator:
         if 2 * T * npu > NODE_BUDGET:
             raise NumericalError("truncation horizon exceeds the quadrature budget")
         self.contour = ContourSpec(gamma, T, npu)
-        sym = symbol_from_params(params)
-        self.fine = LineRule(sym.eval, gamma, T, npu)
-        self._coarse = LineRule(sym.eval, gamma, T, max(4, int(npu / 1.6)))
+        self._sym = symbol_from_params(params)
+        self.fine = LineRule(self._sym.eval, gamma, T, npu)
+
+    @cached_property
+    def _coarse(self) -> LineRule:
+        c = self.contour
+        return LineRule(self._sym.eval, c.re_line, c.half_height,
+                        max(4, int(c.nodes_per_unit / 1.6)))
 
     def eval(self, x_arr: np.ndarray):
         logx = np.log(x_arr)

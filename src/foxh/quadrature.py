@@ -29,9 +29,11 @@ nodes, so a LineRule keeps it (LineRule.progression).  A run of n <= _BLOCK
 arguments then costs G + P exponentials, n G products to scale the
 offsets' table, one (n x G)(G x P) product, an n x P multiply and one
 (n x P)(P) product that weights the panels by e^(-i l0 mid_p): no
-exponential per argument, against n (G + P) for panel_sums.  The direct
-route meets such runs: trapezoid_line hands its integrand the points of
-each sweep block as two Runs.
+exponential per argument, against n (G + P) for panel_sums.  Two callers
+meet such runs.  The direct route: trapezoid_line hands its integrand the
+points of each sweep block as two Runs.  A chain's multiplier step: tabulate,
+the Support profile and the EK tail read its output on a Lattice, x =
+e^(t0 + j h), which it sums in runs of _BLOCK points.
 """
 
 from __future__ import annotations
@@ -131,18 +133,22 @@ class LineRule:
     L x G x P product for L arguments, P panels and G nodes per panel, and
     memory L x P.  rule.progression(l0, step, n) gives them at l0 + j step,
     n <= _BLOCK, from phase tables kept per |step| (see the module
-    docstring): G + P exponentials per call, and memory _BLOCK x (P + G) per
-    step, for at most _MAX_HALVINGS + 1 steps, plus P x G for conj(coeff)
-    once a step is negative.
+    docstring; the direct route's kernel sums and the multiplier step's
+    lattice reads call it): G + P exponentials per call, and memory
+    _BLOCK x (P + G) per step, for at most _MAX_HALVINGS + 1 steps, plus
+    P x G for conj(coeff) once a step is negative.  The tables depend only
+    on the nodes, which T and nodes_per_unit fix: rules given the same
+    tables dict share them.
     """
 
-    def __init__(self, F, gamma: float, T: float, nodes_per_unit: int):
+    def __init__(self, F, gamma: float, T: float, nodes_per_unit: int, tables=None):
         self.gamma = gamma
         self.mid, self.off, w = equal_panels(-T, T, 1.0, nodes_per_unit)
         s = gamma + 1j * (self.mid[:, None] + self.off)
         self.coeff = (np.asarray(F(s.ravel()), dtype=complex).reshape(s.shape)
                       * w / (2.0 * math.pi))
-        self._tables, self._conj_coeff = {}, None
+        self._tables = {} if tables is None else tables
+        self._conj_coeff = None
 
     def __call__(self, logx):
         logx = np.asarray(logx, dtype=float)
@@ -209,24 +215,53 @@ def refine_line(F, gamma: float, T: float, logx, nodes_per_unit: int, tol: float
     return fine, np.abs(fine - coarse)
 
 
-class Run(np.ndarray):
+class _Tagged(np.ndarray):
+    """A float array that carries how its points were made.  Ufuncs on it,
+    in place too, give plain arrays."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        def plain(x):
+            return np.asarray(x) if isinstance(x, _Tagged) else x
+
+        if "out" in kwargs:
+            kwargs["out"] = tuple(map(plain, kwargs["out"]))
+        return getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+
+
+class Run(_Tagged):
     """The points origin + step * k for the integers k of idx, in arithmetic
     progression: a float array that also carries its first point start and
     its step, so that an integrand may evaluate on the progression as a
-    whole.  Ufuncs on a run, in place too, give plain arrays."""
+    whole."""
 
     def __new__(cls, origin: float, step: float, idx):
         run = (origin + step * idx).view(cls)
         run.start, run.step = float(run[0]), step
         return run
 
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        def plain(x):
-            return np.asarray(x) if isinstance(x, Run) else x
 
-        if "out" in kwargs:
-            kwargs["out"] = tuple(map(plain, kwargs["out"]))
-        return getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+class Lattice(_Tagged):
+    """The points x = np.exp(taus) of a lattice taus[j] = t0 + j h in
+    tau = log x, h of either sign: a float array that also carries t0 =
+    taus[0] and h, so that a function that knows its values there in closed
+    form may answer the whole lattice at once (engine.LiveFunction).  The
+    points are bitwise those of np.exp(taus).  An array derived from a
+    lattice (a slice, a copy) and an empty lattice carry t0 = None: they are
+    plain points."""
+
+    t0 = h = None
+
+    def __new__(cls, taus, h: float):
+        x = np.exp(taus).view(cls)
+        if x.ndim == 1 and x.size:
+            x.t0, x.h = float(taus[0]), float(h)
+        return x
+
+    def reversed(self) -> "Lattice":
+        """The same points in reverse order, as the lattice of step -h."""
+        out = np.asarray(self)[::-1].view(Lattice)
+        out.t0, out.h = self.t0 + (self.size - 1) * self.h, -self.h
+        return out
 
 
 def _sweep(g, spacing: float, offset: float, tol: float):

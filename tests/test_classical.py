@@ -24,6 +24,7 @@ from foxh import (
     mellin_numeric,
 )
 from foxh.classical import (
+    _TABLE_STEP,
     _decay_truncation,
     _ek_taps,
     _line_rule,
@@ -32,6 +33,7 @@ from foxh.classical import (
 )
 from foxh.engine import Dilate, LiveFunction, PowerWeight, Reflect, tabulate
 from foxh.gammasym import GammaSymbol, symbol_from_params
+from foxh.quadrature import Lattice
 
 from conftest import canonical_params, exp_series
 
@@ -388,6 +390,30 @@ def test_ek_array_call_equals_scalar_calls(side, draw):
     batch = ek_fractional(side, alpha, sigma, eta, f, x)
     single = np.array([ek_fractional(side, alpha, sigma, eta, f, float(v)) for v in x])
     assert np.max(np.abs(batch - single) / np.abs(single)) < 1e-15
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_ek_tail_hands_f_its_lattice(side):
+    # the tail samples f once on its own lattice tau = +-k h, as a Lattice
+    # whose points are bitwise the plain ones, so f without a lattice
+    # reader sees the same x and gives the same values (the Support
+    # profile's lattices are of step 1/2)
+    f, seen = TestFunction.power_exp(1.0, 1.0), []
+
+    def recording(t):
+        if isinstance(t, Lattice) and t.t0 is not None and abs(t.h) < 0.5:
+            seen.append(t)
+        return f(t)
+
+    x = np.exp(np.linspace(-3.0, 3.0, 9))
+    got = ek_fractional(side, 0.7, 1.3, 0.4, recording, x)
+    assert len(seen) == 1
+    lat = seen[0]
+    sign = 1.0 if side == "left" else -1.0
+    k0 = round(sign * lat.t0 / _TABLE_STEP)
+    assert lat.h == sign * _TABLE_STEP
+    assert np.array_equal(lat, np.exp((sign * np.arange(k0, k0 + lat.size)) * _TABLE_STEP))
+    assert np.array_equal(got, ek_fractional(side, 0.7, 1.3, 0.4, f, x))
 
 
 def test_ek_right_tail_near_strip_edge():

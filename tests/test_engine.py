@@ -39,7 +39,7 @@ from foxh import (
     verify_plan_symbol,
 )
 from foxh import engine, gammasym
-from foxh.classical import Support
+from foxh.classical import Support, mellin_line_samples
 from foxh.engine import (
     VERIFY_POINTS,
     EK,
@@ -56,7 +56,7 @@ from foxh.engine import (
     tabulate,
 )
 from foxh.mellin_barnes import kernel_evaluator
-from foxh.quadrature import LineRule, trapezoid_line
+from foxh.quadrature import Lattice, LineRule, trapezoid_line
 
 from conftest import canonical_params, random_params
 
@@ -803,6 +803,116 @@ def test_laplace_mod_probes_a_recorded_function_once():
         assert np.array_equal(laplace_mod(1.2, 0.0, f, x), first)
     assert f.calls == probe_calls + 2
     assert f.sizes[probe_calls:] == [table, table]
+
+
+# -- chain steps read on a lattice ------------------------------------------------
+
+# (h, n, t0): n on both sides of the multiplier's runs of 64 points; lattices
+# that straddle tau = 0 and ones that start past it, the latter only where
+# they end below tau = 700, short of the float range of e^tau
+_LATTICES = [(h, n, t0) for h in (0.05, 0.5) for n in (1, 64, 65, 1601)
+             for t0 in (-0.37 - 0.5 * (n - 1) * h, 0.37) if t0 + (n - 1) * h < 700.0]
+# the smooth factor of each elementary step: e^(power tau) live(e^(sign (tau - shift)))
+_CARRIED = {"reflect": lambda p: (-1.0, 0.0, -1.0),
+            "power-weight": lambda p: (1.0, 0.0, complex(p.zeta).real),
+            "dilate": lambda p: (1.0, math.log(p.factor), 0.0)}
+
+
+def _chain_reads(case):
+    """(kind, output, scale) for the steps of a canonical chain on t e^-t.
+
+    scale(taus) is the size of the rounding a read of the output carries
+    besides max|value|: a multiplier's line sum at l rounds in units of
+    sum|coeff| e^(-gamma l) (see test_line_rule_progression_matches_dense_
+    long_double_sum), carried on by the elementary steps after it as
+    S e^(a tau + b); 0 for outputs not reading a multiplier.  Outputs past a
+    Hankel or EK step read it pointwise whatever the argument.
+    """
+    params, nu, r = canonical_params(case)
+    live, rounding, reads = LiveFunction(F_TEXP, nu), None, []
+    for prim in plan_factorization(params, nu, r).chain:
+        out = prim.apply(live)
+        if prim.kind == "multiplier":
+            rule = LineRule(lambda s, p=prim, f=live: p.symbol.eval(s) * mellin_line_samples(f, s),
+                            live.nu, engine._MULTIPLIER_HALF_HEIGHT, engine._MULTIPLIER_NODES)
+            rounding = (float(np.sum(np.abs(rule.coeff))), -live.nu, 0.0)
+        elif prim.kind in _CARRIED and rounding is not None:
+            sign, shift, power = _CARRIED[prim.kind](prim)
+            total, a, b = rounding
+            rounding = (total, sign * a + power, b - a * sign * shift)
+        else:
+            rounding = None
+        reads.append((prim.kind, out, rounding))
+        live = out
+    return reads
+
+
+@pytest.mark.parametrize("case", range(1, 10))
+def test_chain_steps_read_on_a_lattice_as_pointwise(case):
+    # the lattice read (closed lattice form, forwarded through the
+    # elementary steps) against the pointwise read at the same points.  Past
+    # a Hankel step every point costs a Hankel transform either way and
+    # nothing below reads a lattice, so those steps take n = 1 only
+    past_hankel = False
+    for kind, out, rounding in _chain_reads(case):
+        past_hankel |= kind == "hankel"
+        if kind not in ("reflect", "power-weight", "dilate", "multiplier", "laplace"):
+            continue
+        for h, n, t0 in _LATTICES:
+            if past_hankel and n > 1:
+                continue
+            taus = t0 + h * np.arange(n)
+            x = Lattice(taus, h)
+            assert x.t0 == t0 and np.array_equal(x, np.exp(taus))
+            got, ref = out(x), out(np.exp(taus))
+            scale = np.max(np.abs(ref))
+            if rounding is not None:
+                total, a, b = rounding
+                with np.errstate(over="ignore"):
+                    scale = scale + total * np.exp(a * taus + b)
+            bad = ~(np.abs(got - ref) <= 1e-13 * scale)
+            assert not bad.any(), (kind, h, n, t0, taus[bad][:3], np.abs(got - ref)[bad][:3])
+
+
+def test_laplace_lattice_off_its_grid_takes_the_dense_sum():
+    # a step that is no integer multiple of the table's 0.05, and a
+    # negative one, are summed densely, bitwise as at plain points
+    out = LaplaceOp(1.0, 0.3 + 0.5j).apply(_TEXP_LIVE)
+    for h in (0.07, 0.025, 0.15):
+        taus = -3.1 + h * np.arange(200)
+        assert np.array_equal(out(Lattice(taus, h)), out(np.exp(taus)))
+    taus = 3.1 - 0.05 * np.arange(200)
+    np.testing.assert_allclose(out(Lattice(taus, -0.05)), out(np.exp(taus)),
+                               rtol=0, atol=1e-13 * np.max(np.abs(out(np.exp(taus)))))
+
+
+def test_lattice_views_are_plain_points():
+    x = Lattice(-1.0 + 0.5 * np.arange(8), 0.5)
+    assert x.h == 0.5 and x.reversed().t0 == 2.5 and x.reversed().h == -0.5
+    for derived in (x[1:], x.copy(), x.reshape(2, 4), np.log(x), Lattice(np.zeros(0), 0.5)):
+        assert getattr(derived, "t0", None) is None
+    calls = []
+    live = LiveFunction(lambda t: calls.append(type(t)) or t, 0.5)
+    # without a lattice reader, fn gets the lattice unchanged
+    assert np.array_equal(live(x), x) and calls == [Lattice]
+
+
+@pytest.mark.parametrize("case", [5, 8])
+def test_plan_reads_its_multiplier_only_on_lattices_and_at_xs(case, monkeypatch):
+    # tabulate and the Support profile read the multiplier's output on
+    # lattices, from phase tables; only the caller's xs may reach the
+    # pointwise sum
+    sizes = []
+    pointwise = LineRule.__call__
+
+    def counting(rule, logx):
+        sizes.append(np.size(logx))
+        return pointwise(rule, logx)
+
+    monkeypatch.setattr(LineRule, "__call__", counting)
+    xs = np.array([0.5, 1.3, 3.0])
+    apply_plan(plan_factorization(*canonical_params(case)), F_TEXP, xs)
+    assert max(sizes, default=0) <= xs.size
 
 
 def test_laplace_grid_sum_memory_stays_below_dense_matrix():

@@ -185,6 +185,22 @@ def test_batch_values_do_not_depend_on_cached_evaluators():
     assert np.array_equal(_values(after), _values(cold))
 
 
+def test_direct_route_leaves_the_coarse_rule_unbuilt():
+    # only eval's error estimate reads the coarse rule, so it is built there,
+    # from the contour's density: the values stay those of an eager build
+    _EVALUATOR_CACHE.clear()
+    htransform_direct(EXP_K, TestFunction.builtin("exp"), [1.0], SpaceSpec(0.5, 2.0))
+    ev = _EVALUATOR_CACHE[(EXP_K, -11.0, _LOG_SPAN)]
+    assert "_coarse" not in vars(ev)
+    xs = np.geomspace(0.1, 10.0, 7)
+    fine, qerr, _ = ev.eval(xs)
+    assert "_coarse" in vars(ev)
+    c = ev.contour
+    coarse = LineRule(symbol_from_params(EXP_K).eval, c.re_line, c.half_height,
+                      max(4, int(c.nodes_per_unit / 1.6)))
+    assert np.array_equal(qerr, np.abs(fine - coarse(np.log(xs))))
+
+
 # -- panel-factored line sums ---------------------------------------------------
 
 def _dense_line_sum(rule, logx):

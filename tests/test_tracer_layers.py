@@ -5,7 +5,8 @@ perfbench/tracer.py names the functions and methods it times by dotted path
 no longer exists, so a rename in foxh shows up here, not first in a traced
 benchmark run.  The tracer module is loaded from its file, without writing
 bytecode next to it, and is uninstalled again before each test returns.
-A traced plan run also shows which layers a chain reaches.
+A traced plan run also shows which layers a chain reaches, and that the
+tracer's wrappers hand lattice reads on.
 """
 
 import importlib.util
@@ -14,8 +15,10 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import foxh
+from foxh.quadrature import LineRule
 
 from conftest import canonical_params
 
@@ -59,3 +62,34 @@ def test_plan_route_tabulates_and_skips_the_pointwise_laplace():
         t.uninstall()
     assert t.work.get("engine.tabulate.samples", 0) > 0
     assert t.totals()["classical.laplace_mod"]["calls"] == 0
+
+
+@pytest.mark.parametrize("case", [5, 8])
+def test_traced_plan_reads_its_multiplier_on_lattices(case, monkeypatch):
+    # the tracer wraps tabulate's input and the multiplier's output in
+    # LiveFunctions over plain closures.  The lattice argument passes
+    # through them: the multiplier is still summed pointwise only at the
+    # caller's xs, and the wrappers still count every lattice point read
+    # (the multiplier's output table alone holds over 1,600)
+    sizes = []
+    pointwise = LineRule.__call__
+
+    def counting(rule, logx):
+        sizes.append(np.size(logx))
+        return pointwise(rule, logx)
+
+    monkeypatch.setattr(LineRule, "__call__", counting)
+    tracer = _load_tracer()
+    t = tracer.Tracer(time.perf_counter)
+    plan = foxh.plan_factorization(*canonical_params(case))
+    xs = np.array([0.5, 1.3, 3.0])
+    try:
+        t.install()
+        t.active = True
+        foxh.apply_plan(plan, foxh.TestFunction.power_exp(1.0, 1.0), xs)
+    finally:
+        t.active = False
+        t.uninstall()
+    assert max(sizes, default=0) <= xs.size
+    points = t.work.get("engine.Multiplier.eval.points", 0)
+    assert 1600 < points <= t.work.get("engine.tabulate.samples", 0)
