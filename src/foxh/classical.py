@@ -758,9 +758,9 @@ def ek_fractional(side: str, alpha, sigma: float, eta, f, x):
 # Modified Hankel and Laplace transforms
 # ---------------------------------------------------------------------------
 
-# arches, arches per block (it divides _N_ARCH, and a block holds every
-# partial sum _hankel_tails reads), geometric head panels, Gauss-Legendre
-# nodes each
+# arches, arches per block (it divides _N_ARCH, and the first block holds
+# the window that settles growing terms), geometric head panels,
+# Gauss-Legendre nodes each
 _N_ARCH, _ARCH_BLOCK, _HEAD_LEVELS, _HANKEL_NODES = 2048, 128, 70, 12
 # arguments per block: an arch block's float temporaries are 0.8 MB each
 _HANKEL_COLS = 64
@@ -819,28 +819,6 @@ def _decaying_limit(partials):
     return np.where(keep, acc, np.nan)
 
 
-def _hankel_tails(early, late, early_terms, last_term):
-    """Values of oscillatory sums that no arch block settled, one per column.
-
-    Each column ran all _N_ARCH arches: early and late are its partial sums
-    over the first and the last _ARCH_BLOCK arches, early_terms its first
-    _ARCH_BLOCK arch terms and last_term its last.  A decaying column (last
-    term no larger than its 13th) arrives here only when _decaying_limit
-    gave it no value.  Growing-term columns are accelerated on an early
-    window by one column-wise wynn_epsilon call; where that gives no finite
-    value, and for the decaying columns, the last two partials' midpoint
-    stands in.
-    """
-    est = 0.5 * (late[-1] + late[-2])
-    growing = np.abs(last_term) > np.abs(early_terms[12])
-    if growing.any():
-        # growing-term (high-frequency) regime: accelerate an early window,
-        # where the alternating series is still smallest
-        acc, _ = wynn_epsilon(early[4:52, growing])
-        est[growing] = np.where(np.isfinite(acc), acc, est[growing])
-    return est
-
-
 def hankel_mod(kappa: float, eta, f, x):
     """Modified Hankel transform with index kappa != 0 and order Re(eta) > -1.
 
@@ -854,14 +832,20 @@ def hankel_mod(kappa: float, eta, f, x):
     after a block when
 
     - an arch term falls to _HANKEL_SETTLE of its running sum, after a
-      nonzero head or arch term: the partial sum there is its value; or
-    - its tail decays (last term no larger than its 13th arch term) and
-      _decaying_limit's Wynn extrapolation of the block's partials agrees
-      with the one after the previous block to _HANKEL_SETTLE of the running
-      sum: that extrapolation is its value.  After the last block a
-      decaying tail takes its extrapolation without the agreement test.
+      nonzero head or arch term: the partial sum there is its value;
+    - its tail decays (the block's last term no larger than its 13th arch
+      term) and _decaying_limit's Wynn extrapolation of the block's
+      partials agrees with the one after the previous block to
+      _HANKEL_SETTLE of the running sum: that extrapolation is its value.
+      After the last block a decaying tail takes its extrapolation without
+      the agreement test; or
+    - after the first block only, its terms grow (neither rule above holds,
+      and arch terms 6..52 are all nonzero) and wynn_epsilon on that
+      block's partials 5..52, where the series is still smallest, is
+      finite: that extrapolation is its value.
 
-    Arguments left after all _N_ARCH arches go to _hankel_tails.
+    An argument still unsettled after all _N_ARCH arches takes the midpoint
+    of its last two partial sums.
     """
     eta = complex(eta)
     if kappa == 0:
@@ -914,7 +898,7 @@ def hankel_mod(kappa: float, eta, f, x):
             terms = group_sums(lv, jw_arch[blk], xi[live])
             partials = acc + np.cumsum(terms, axis=0)
             if done == 0:
-                early, early_terms = partials, terms
+                term13 = np.abs(terms[12])  # every column is live here
             done += _ARCH_BLOCK
             # a term this small against the running sum settles the sum
             # there, once the sum before it has seen mass
@@ -924,7 +908,7 @@ def hankel_mod(kappa: float, eta, f, x):
             hit = tiny.any(axis=0)
             block[live[hit]] = partials[np.argmax(tiny[:, hit], axis=0), hit]
             # a decaying tail settles where its extrapolated limit stops moving
-            decaying = ~hit & (np.abs(terms[-1]) <= np.abs(early_terms[12, live]))
+            decaying = ~hit & (np.abs(terms[-1]) <= term13[live])
             limit = np.full(live.size, np.nan, dtype=complex)
             if decaying.any():
                 limit[decaying] = _decaying_limit(partials[:, decaying])
@@ -933,14 +917,21 @@ def hankel_mod(kappa: float, eta, f, x):
                 near = np.abs(limit - prev[live]) <= _HANKEL_SETTLE * scale
             else:
                 near = np.isfinite(limit)
+            if done == _ARCH_BLOCK:
+                # growing terms (high frequency): Wynn on an early window,
+                # where the alternating sums are still smallest.  A zero term
+                # there (f's support not reached yet) is no growth: the column
+                # runs on
+                grows = ~(hit | decaying) & np.all(terms[5:52] != 0, axis=0)
+                limit[grows] = wynn_epsilon(partials[4:52, grows])[0]
+                near |= grows & np.isfinite(limit)
             block[live[near]] = limit[near]
             prev[live] = limit
             keep = ~(hit | near)
-            live, partials, terms = live[keep], partials[:, keep], terms[:, keep]
+            live, partials = live[keep], partials[:, keep]
             acc = partials[-1]
         if live.size:
-            block[live] = _hankel_tails(early[:, live], partials, early_terms[:, live],
-                                        terms[-1])
+            block[live] = 0.5 * (partials[-1] + partials[-2])
     out = out * np.abs(kappa) * x_arr ** (1.0 / kappa - 0.5)
     return complex(out[0]) if np.ndim(x) == 0 else out
 
@@ -961,7 +952,10 @@ def laplace_mod(kappa: float, alpha, f, x):
     """
     from .engine import LaplaceOp, LiveFunction
 
-    out = LaplaceOp(kappa, alpha).apply(LiveFunction(f, 0.0))(positive_args(x))
+    xs = positive_args(x)
+    if isinstance(x, Lattice):
+        xs = x  # LaplaceOp sums a whole lattice as one correlation
+    out = LaplaceOp(kappa, alpha).apply(LiveFunction(f, 0.0))(xs)
     return complex(out[0]) if np.ndim(x) == 0 else out
 
 

@@ -428,7 +428,9 @@ class EK(_Step):
     def apply(self, live: LiveFunction) -> LiveFunction:
         # ek_fractional reads live on its lattice and at its head rule's
         # nodes per argument: past the points of tabulate's grid, a table is
-        # cheaper
+        # cheaper.  Below that live reads stay, for accuracy as well as cost:
+        # on case 2's left-EK chain with a Gaussian input, a table put x = 0.5
+        # 2.3e-9 of max|value| off the Mellin route, live reads 3.3e-12
         win = support_of(live).window(0.0, _TABLE_FLOOR)
         span = 0.0 if win is None else win[1] - win[0] + 2.0 * _TABLE_MARGIN
 
@@ -468,7 +470,8 @@ class HankelOp(_Step):
         super().check_space(nu, r)
 
     def apply(self, live: LiveFunction) -> LiveFunction:
-        # hankel_mod reads its input at about 25k points per argument
+        # hankel_mod reads its input at 840 head points per argument, and
+        # 1,536 more per block of 128 arches, 25,416 at most
         src = tabulate(live)
         return LiveFunction(lambda x: hankel_mod(self.index, self.order, src, x),
                             _out_weight(self, live.nu))

@@ -31,7 +31,7 @@ from foxh.classical import (
     mellin_line_samples,
     support_of,
 )
-from foxh.engine import Dilate, LiveFunction, PowerWeight, Reflect, tabulate
+from foxh.engine import Dilate, LaplaceOp, LiveFunction, PowerWeight, Reflect, tabulate
 from foxh.gammasym import GammaSymbol, symbol_from_params
 from foxh.quadrature import Lattice
 
@@ -695,6 +695,37 @@ def test_hankel_slow_decay_settles_early():
     assert count[0] < 200_000
 
 
+# (kappa, eta, c, p, log x, value) with f = t^c e^(-p t): arch terms that grow
+# over the first block.  The values are mpmath.quadosc at 30 digits of
+# |kappa| x^(1/kappa - 1/2) int_0^inf J_eta(xi v) f(v^kappa) v^(kappa/2) dv,
+# xi = |kappa| x^(1/kappa)
+_HANKEL_GROWING = [
+    (1.4, 0.34, 0.94, 1.26, 9.7, -3.095971151349346952e-9),
+    (-1.11, 2.05, 0.013, 1.13, -5.58, 3.6910475033617658374e-8),
+]
+
+
+def test_hankel_growing_terms_settle_after_the_first_block():
+    # one head and one arch block: 840 + 1,536 reads; all 2,048 arches
+    # would take 25,416
+    kap, eta, c, p, logx, _ = _HANKEL_GROWING[0]
+    f = TestFunction.power_exp(c, p)
+    count = [0]
+
+    def counted(t):
+        count[0] += np.size(t)
+        return f(t)
+
+    hankel_mod(kap, eta, counted, math.exp(logx))
+    assert count[0] <= 2_376
+
+
+@pytest.mark.parametrize("kap, eta, c, p, logx, ref", _HANKEL_GROWING)
+def test_hankel_growing_terms_match_mpmath(kap, eta, c, p, logx, ref):
+    val = hankel_mod(kap, eta, TestFunction.power_exp(c, p), math.exp(logx))
+    assert abs(val - ref) < 1e-9 * abs(ref)
+
+
 def test_hankel_support_starting_past_the_first_arches():
     # f = e^-t on [2, 60]: at x = 3 the head and the first arch see no mass,
     # and a zero term must not settle a zero sum.  mpmath gives
@@ -703,6 +734,30 @@ def test_hankel_support_starting_past_the_first_arches():
     t = np.geomspace(2.0, 60.0, 4000)
     val = hankel_mod(1.0, 0.0, GridFunction(t, np.exp(-t)), 3.0)
     assert abs(val - 0.0335744350937) < 5e-3 * 0.0335744350937
+
+
+def test_hankel_support_starting_past_the_first_block():
+    # the same f at x = 150: the whole first block sees no mass, and such a
+    # column is not growing.  mpmath gives int_2^60 (150t)^(1/2) J_0(150t)
+    # e^-t dt = 4.93950721089515e-4.  (At x = 30 the grid's edges inside
+    # arch panels put the value 16% off; the next test covers that x.)
+    t = np.geomspace(2.0, 60.0, 4000)
+    val = hankel_mod(1.0, 0.0, GridFunction(t, np.exp(-t)), 150.0)
+    assert abs(val - 4.93950721089515e-4) < 5e-3 * 4.93950721089515e-4
+
+
+@pytest.mark.parametrize("x, ref", [(30.0, -6.5359278192021993203e-7),
+                                    (150.0, -9.4824919874130026608e-10)])
+def test_hankel_smooth_support_start_is_not_growth(x, ref):
+    # f = (t - 2)^3 e^-t past t = 2, 0 below: f's support starts at arch 19
+    # (x = 30) or 95 (x = 150), so arch 13 and part of the first block's
+    # Wynn window see no mass.  Such a column is not growing and must run on
+    # past the first block.  ref is mpmath.quadosc at 30 digits of
+    # int_2^inf (xt)^(1/2) J_0(xt) (t - 2)^3 e^-t dt
+    def f(t):
+        return np.maximum(t - 2.0, 0.0) ** 3 * np.exp(-t)
+
+    assert abs(hankel_mod(1.0, 0.0, f, x) - ref) < 1e-4 * abs(ref)
 
 
 # -- Laplace --------------------------------------------------------------------
@@ -759,6 +814,28 @@ def test_laplace_mellin_identity_spot():
     lhs = mellin_numeric(tab, s)
     rhs = np.exp(log_gamma(arg)) * abs(kap) ** (1.0 - arg) * f.mellin(1.0 - s)
     assert abs(lhs - rhs) < 1e-8 * abs(rhs)
+
+
+def test_laplace_answers_a_lattice_by_its_correlation():
+    # tabulate hands laplace_mod a Lattice; laplace_mod keeps it one, so it
+    # is summed as LaplaceOp's correlation, not densely
+    kap, alpha, f = 1.2, 0.3, TestFunction.power_exp(0.5, 1.0)
+    taus = -6.0 + 0.05 * np.arange(240)
+    got = laplace_mod(kap, alpha, f, Lattice(taus, 0.05))
+    op = LaplaceOp(kap, alpha).apply(LiveFunction(f, 0.0))
+    assert np.array_equal(got, op(Lattice(taus, 0.05)))
+    plain = laplace_mod(kap, alpha, f, np.exp(taus))
+    assert np.max(np.abs(got - plain)) <= 1e-13 * np.max(np.abs(plain))
+
+
+def test_ek_and_hankel_read_a_lattice_as_plain_points():
+    # positive_args turns a Lattice into plain points
+    taus = -3.0 + 0.05 * np.arange(120)
+    f = TestFunction.power_exp(0.5, 1.0)
+    for op in (lambda x: ek_fractional("left", 0.7, 1.3, 0.4, f, x),
+               lambda x: ek_fractional("right", 0.7, 1.3, 0.4, f, x),
+               lambda x: hankel_mod(1.3, 0.4, f, x)):
+        assert np.array_equal(op(Lattice(taus, 0.05)), op(np.exp(taus)))
 
 
 def test_laplace_negative_index():
