@@ -38,6 +38,7 @@ from .quadrature import (
     endpoint_power_rule,
     equal_panels,
     gauss_legendre,
+    lattice_sums,
     panel_sums,
     refine_line,
     wynn_epsilon,
@@ -369,28 +370,29 @@ def _line_range(f, nu: float):
 
 def _line_rule(f, nu: float, t_max: float):
     """tau nodes for int f(e^tau) e^(s tau) dtau on Re s = nu, |Im s| <= t_max,
-    as (mid, off, weights): node g of block p is mid[p] + off[g] with weight
-    weights[p, g], ready for panel_sums.  The range is _line_range's.  A
-    range ending at a hard edge takes equal Gauss-Legendre panels at most a
-    unit wide, with nodes for the oscillation e^(i t_max tau); any other the
-    trapezoid grid of step 2 pi / (t_max + 80), in blocks of _TRAP_BLOCK
-    points, the last padded with zero weights.  Raises on an open range."""
+    as (mid, off, weights, h): node g of block p is mid[p] + off[g] with
+    weight weights[p, g], ready for panel_sums.  The range is _line_range's.
+    A range ending at a hard edge takes equal Gauss-Legendre panels at most
+    a unit wide, with nodes for the oscillation e^(i t_max tau), and h None;
+    any other the trapezoid grid of step h = 2 pi / (t_max + 80), in blocks
+    of _TRAP_BLOCK points, the last padded with zero weights, ready for
+    lattice_sums too.  Raises on an open range."""
     rng = _line_range(f, nu)
     if rng is None:
-        return np.zeros(0), np.zeros(0), np.zeros((0, 0))
+        return np.zeros(0), np.zeros(0), np.zeros((0, 0)), None
     lo, hi, open_lo, open_hi, edged = rng
     if open_lo or open_hi:
         raise DivergentIntegralError("Mellin line integrand does not decay")
     if edged:
         mid, off, w = equal_panels(lo, hi, 1.0, 14 + int(math.ceil(0.5 * t_max)))
-        return mid, off, np.broadcast_to(w, (mid.size, w.size))
+        return mid, off, np.broadcast_to(w, (mid.size, w.size)), None
     h = min(0.125, 2.0 * math.pi / (t_max + 80.0))
     n = int(math.ceil((hi + h - lo) / h))  # the points of arange(lo, hi + h, h)
     n_blocks = -(-n // _TRAP_BLOCK)
     weights = np.zeros(n_blocks * _TRAP_BLOCK)
     weights[:n] = h
     return (lo + h * _TRAP_BLOCK * np.arange(n_blocks), h * np.arange(_TRAP_BLOCK),
-            weights.reshape(n_blocks, _TRAP_BLOCK))
+            weights.reshape(n_blocks, _TRAP_BLOCK), h)
 
 
 def mellin_numeric(f, s) -> complex:
@@ -412,10 +414,12 @@ def mellin_line_samples(fn, s_nodes):
     """Mellin transform of fn at many points on one vertical line.
 
     All nodes must share their real part.  One set of tau nodes from
-    _line_rule serves every point, summed by panel_sums: L (P + G)
-    exponentials and one L x G x P product for L points, P blocks of G tau
-    nodes, and memory L x P.  So chains can push sampled functions through
-    multiplier steps cheaply.  The result is shaped like s_nodes.
+    _line_rule serves every point, summed by lattice_sums on the trapezoid
+    grid (L exponentials, from tables shared by calls at the same points)
+    or, for one point or Gauss-Legendre panels, by panel_sums (L (P + G)),
+    and one L x G x P product for L points, P blocks of G tau nodes.  So
+    chains can push sampled functions through multiplier steps cheaply.
+    The result is shaped like s_nodes.
     """
     s_nodes = np.asarray(s_nodes, dtype=complex)
     if s_nodes.size == 0:
@@ -424,14 +428,16 @@ def mellin_line_samples(fn, s_nodes):
     if not np.allclose(s_nodes.real, nu, atol=1e-12):
         raise ParameterError("line sampling requires constant Re s")
     t_max = float(np.max(np.abs(s_nodes.imag)))
-    mid, off, weights = _line_rule(fn, nu, t_max)
+    mid, off, weights, h = _line_rule(fn, nu, t_max)
     taus = mid[:, None] + off
     with np.errstate(over="ignore", invalid="ignore"):
         base = (np.asarray(fn(np.exp(taus.ravel())), dtype=complex).reshape(taus.shape)
                 * np.exp(nu * taus) * weights)
     # a sample that overflows counts as 0, as in the record's profile
     base = np.where(np.isfinite(base), base, 0.0)
-    return panel_sums(-s_nodes.imag, mid, off, base)
+    if h is None or s_nodes.size == 1:
+        return panel_sums(-s_nodes.imag, mid, off, base)
+    return lattice_sums(-s_nodes.imag.ravel(), mid[0], h, base).reshape(s_nodes.shape)
 
 
 def positive_args(x) -> np.ndarray:
@@ -902,9 +908,9 @@ def hankel_mod(kappa: float, eta, f, x):
             done += _ARCH_BLOCK
             # a term this small against the running sum settles the sum
             # there, once the sum before it has seen mass
-            scale = np.maximum(np.abs(partials[-1]), 1e-280)
             before = np.vstack([acc[None, :], partials[:-1]])
-            tiny = (np.abs(terms) <= _HANKEL_SETTLE * scale) & (before != 0)
+            tiny = (np.abs(terms) <= _HANKEL_SETTLE * np.abs(partials)) & (before != 0)
+            scale = np.maximum(np.abs(partials[-1]), 1e-280)
             hit = tiny.any(axis=0)
             block[live[hit]] = partials[np.argmax(tiny[:, hit], axis=0), hit]
             # a decaying tail settles where its extrapolated limit stops moving

@@ -63,6 +63,8 @@ from .quadrature import _BLOCK, Lattice, LineRule, endpoint_power_rule, trapezoi
 
 # Multiplier.apply's line: half height and Gauss-Legendre nodes per unit
 _MULTIPLIER_HALF_HEIGHT, _MULTIPLIER_NODES = 48.0, 16
+# the phase tables of that line's nodes, which every multiplier's rule shares
+_MULTIPLIER_TABLES: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +350,6 @@ class Multiplier(_Step):
     symbol: GammaSymbol
     label: str
     strip: tuple = field(metadata=_UNDESCRIBED)
-    # the phase tables of the contour's nodes, which every apply's rule shares
-    tables: dict = field(default_factory=dict, init=False, repr=False, compare=False,
-                         metadata=_UNDESCRIBED)
     kind = "multiplier"
 
     def mellin_action(self):
@@ -368,7 +367,7 @@ class Multiplier(_Step):
     def apply(self, live: LiveFunction) -> LiveFunction:
         nu_c = live.nu
         rule = LineRule(lambda s: self.symbol.eval(s) * mellin_line_samples(live, s),
-                        nu_c, _MULTIPLIER_HALF_HEIGHT, _MULTIPLIER_NODES, self.tables)
+                        nu_c, _MULTIPLIER_HALF_HEIGHT, _MULTIPLIER_NODES, _MULTIPLIER_TABLES)
         # zero numerically dead contour nodes; the nodes stay those of the
         # shared tables
         mags = np.abs(rule.coeff)

@@ -34,6 +34,13 @@ meet such runs.  The direct route: trapezoid_line hands its integrand the
 points of each sweep block as two Runs.  A chain's multiplier step: tabulate,
 the Support profile and the EK tail read its output on a Lattice, x =
 e^(t0 + j h), which it sums in runs of _BLOCK points.
+
+Nodes in arithmetic progression, t = lo + h (G p + g), split the transposed
+sum the same way (lattice_sums): e^(-i l t) = e^(-i l lo) e^(-i l G h p)
+e^(-i l h g), whose last two factors depend only on the arguments l and h.
+Kept as tables per (l, h), they leave L exponentials per sum, against
+L (P + G) for panel_sums.  The caller, mellin_line_samples, sums at every
+multiplier's contour nodes, so all multipliers share one set of tables.
 """
 
 from __future__ import annotations
@@ -121,6 +128,34 @@ def panel_sums(l, mid, off, coeff):
     """
     return np.sum(_panel_terms(lambda t: np.exp(-1j * np.multiply.outer(l, t)),
                                mid, off, coeff), axis=-1)
+
+
+def lattice_sums(l, lo: float, h: float, coeff):
+    """panel_sums for the 1-D array l on the lattice t = lo + h (G p + g):
+    P = coeff.shape[0] blocks of G = coeff.shape[1] points.  From the tables
+    of (l, h, G) (_lattice_tables), grown to P blocks, a call takes L
+    exponentials, one (P x G)(G x L) product and a P x L multiply and sum.
+    """
+    n_blocks, width = coeff.shape
+    tables = _lattice_tables(l.tobytes(), h, width)
+    offsets, panels = tables
+    if panels.shape[0] < n_blocks:
+        # a longer input than any before: its blocks' factors join the table
+        lg = np.multiply.outer(width * h * np.arange(panels.shape[0], n_blocks), l)
+        tables[1] = panels = np.concatenate([panels, np.exp(-1j * lg)])
+    terms = coeff @ offsets
+    terms *= panels[:n_blocks]
+    return np.exp(-1j * lo * l) * terms.sum(axis=0)
+
+
+@lru_cache(maxsize=4)
+def _lattice_tables(l_key: bytes, h: float, width: int):
+    """[e^(-i l h g) as a (width x L) array, e^(-i l width h p) as a
+    (P x L) array for the P blocks seen so far], l = frombuffer(l_key);
+    lattice_sums grows the second."""
+    l = np.frombuffer(l_key)
+    return [np.exp(-1j * np.multiply.outer(h * np.arange(width), l)),
+            np.zeros((0, l.size), dtype=complex)]
 
 
 class LineRule:

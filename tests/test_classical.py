@@ -33,7 +33,7 @@ from foxh.classical import (
 )
 from foxh.engine import Dilate, LaplaceOp, LiveFunction, PowerWeight, Reflect, tabulate
 from foxh.gammasym import GammaSymbol, symbol_from_params
-from foxh.quadrature import Lattice
+from foxh.quadrature import Lattice, _lattice_tables, equal_panels, panel_sums
 
 from conftest import canonical_params, exp_series
 
@@ -139,15 +139,35 @@ def test_mellin_line_samples_split_at_hard_edge():
 @pytest.mark.parametrize("name, closed_form, trapezoid", [
     ("exp", scipy_gamma, True), ("tpow:0", lambda s: 1.0 / s, False)])
 def test_mellin_line_samples_on_both_line_rules(name, closed_form, trapezoid):
-    # e^{-t} takes the trapezoid blocks, tpow:0 (hard edge at t = 1) the
-    # equal Gauss-Legendre panels; both sum through panel_sums
+    # e^{-t} takes the trapezoid blocks, summed by lattice_sums (a single
+    # point by panel_sums), tpow:0 (hard edge at t = 1) the equal
+    # Gauss-Legendre panels, summed by panel_sums
     f = TestFunction.builtin(name)
     s_nodes = 0.5 + 1j * np.linspace(-48.0, 48.0, 801)
-    _, off, weights = _line_rule(f, 0.5, 48.0)
-    assert (off.size == 64 and weights[-1, -1] == 0.0) == trapezoid
+    _, off, weights, h = _line_rule(f, 0.5, 48.0)
+    assert (off.size == 64 and weights[-1, -1] == 0.0 and h is not None) == trapezoid
     err = np.abs(mellin_line_samples(f, s_nodes) - closed_form(s_nodes))
     assert np.max(err) < 1e-12
     assert abs(mellin_line_samples(f, 0.5 + 2.0j) - closed_form(0.5 + 2.0j)) < 1e-12
+
+
+def test_mellin_line_samples_from_shared_tables_match_panel_sums():
+    # the multiplier's contour (|Im s| <= 48, 16 nodes per unit) on
+    # Re s = 0.3: the sums from the lattice tables against panel_sums.  All
+    # three inputs share one set of tables, and power_exp(0.2, 0.05), the
+    # longest tau range (31 blocks, against 13 and 25), grows its panels table
+    mid, off, _ = equal_panels(-48.0, 48.0, 1.0, 16)
+    l = (mid[:, None] + off).ravel()
+    _lattice_tables.cache_clear()
+    for f in (TestFunction.power_exp(1.0, 1.0), TestFunction.gaussian(0.3, 0.5),
+              TestFunction.power_exp(0.2, 0.05)):
+        t_mid, t_off, weights, h = _line_rule(f, 0.3, float(np.max(np.abs(l))))
+        taus = t_mid[:, None] + t_off
+        ref = panel_sums(l, t_mid, t_off, f(np.exp(taus)) * np.exp(0.3 * taus) * weights)
+        vals = mellin_line_samples(f, 0.3 - 1j * l)
+        assert np.max(np.abs(vals - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert _lattice_tables.cache_info().misses == 1
+    assert _lattice_tables(l.tobytes(), h, t_off.size)[1].shape[0] == t_mid.size == 31
 
 
 @pytest.mark.parametrize("s_nodes", [np.zeros(0) + 0.5, np.zeros((0, 3)) + 0.5])
@@ -724,6 +744,24 @@ def test_hankel_growing_terms_settle_after_the_first_block():
 def test_hankel_growing_terms_match_mpmath(kap, eta, c, p, logx, ref):
     val = hankel_mod(kap, eta, TestFunction.power_exp(c, p), math.exp(logx))
     assert abs(val - ref) < 1e-9 * abs(ref)
+
+
+# (log x, value, relative tolerance) for the second _HANKEL_GROWING series
+# at smaller x, where its arch terms rise from a tiny first term.  The
+# values are mpmath.quadosc at 30 digits of the formula above
+_HANKEL_RISING = [
+    (-5.6, 2.3773318767576594885e-8, 1e-6),
+    (-6.5, 5.8464640344973925979e-13, 1e-2),
+]
+
+
+@pytest.mark.parametrize("logx, ref, rel", _HANKEL_RISING)
+def test_hankel_tiny_first_term_does_not_settle_a_rising_sum(logx, ref, rel):
+    # a term settles the sum only against the partial sum it ends, not
+    # against the block's last one
+    kap, eta, c, p = _HANKEL_GROWING[1][:4]
+    val = hankel_mod(kap, eta, TestFunction.power_exp(c, p), math.exp(logx))
+    assert abs(val - ref) < rel * abs(ref)
 
 
 def test_hankel_support_starting_past_the_first_arches():

@@ -38,7 +38,7 @@ from foxh import (
     validate_params,
     verify_plan_symbol,
 )
-from foxh import engine, gammasym
+from foxh import engine, gammasym, quadrature
 from foxh.classical import Support, mellin_line_samples
 from foxh.engine import (
     VERIFY_POINTS,
@@ -449,6 +449,18 @@ def test_multiplier_whose_cut_leaves_no_panel():
     mult = next(op for op in chain if op.kind == "multiplier")
     out = mult.apply(LiveFunction(TestFunction.zero(), 0.5))
     assert np.array_equal(out(XS), np.zeros(XS.size))
+
+
+def test_multipliers_share_one_set_of_line_tables():
+    # two canonical multipliers on different inputs: their Mellin line
+    # samples sit at the same contour nodes, so one set of tables serves both
+    mults = [next(op for op in plan_factorization(*canonical_params(case)[:2], 2.0).chain
+                  if op.kind == "multiplier") for case in (1, 5)]
+    quadrature._lattice_tables.cache_clear()
+    mults[0].apply(LiveFunction(F_TEXP, 0.5))
+    mults[1].apply(LiveFunction(TestFunction.gaussian(0.3, 0.5), 0.5))
+    info = quadrature._lattice_tables.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 @pytest.mark.parametrize("case", [7, 9])
