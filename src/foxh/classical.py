@@ -764,8 +764,8 @@ def ek_fractional(side: str, alpha, sigma: float, eta, f, x):
 # Modified Hankel and Laplace transforms
 # ---------------------------------------------------------------------------
 
-# arches, arches per block (it divides _N_ARCH, and the first block holds
-# the window that settles growing terms), geometric head panels,
+# arches, arches per block (it divides _N_ARCH, and the first 52 partials
+# of every block hold the Wynn window), geometric head panels,
 # Gauss-Legendre nodes each
 _N_ARCH, _ARCH_BLOCK, _HEAD_LEVELS, _HANKEL_NODES = 2048, 128, 70, 12
 # arguments per block: an arch block's float temporaries are 0.8 MB each
@@ -815,16 +815,6 @@ def _node_sums(vals, jw):
     return np.matmul(vt, jw.view(float).reshape(*jw.shape, 2)).view(complex)[..., 0]
 
 
-def _decaying_limit(partials):
-    """Limits of decaying alternating partial sums, one per column:
-    wynn_epsilon on the last 44 partials, NaN where it gives no finite value
-    or leaves 3x the spread of the last 8 around the last."""
-    acc, _ = wynn_epsilon(partials[-44:])
-    spread = np.max(np.abs(partials[-8:] - partials[-1]), axis=0)
-    keep = np.isfinite(acc) & (np.abs(acc - partials[-1]) <= 3.0 * spread + 1e-280)
-    return np.where(keep, acc, np.nan)
-
-
 def hankel_mod(kappa: float, eta, f, x):
     """Modified Hankel transform with index kappa != 0 and order Re(eta) > -1.
 
@@ -838,17 +828,11 @@ def hankel_mod(kappa: float, eta, f, x):
     after a block when
 
     - an arch term falls to _HANKEL_SETTLE of its running sum, after a
-      nonzero head or arch term: the partial sum there is its value;
-    - its tail decays (the block's last term no larger than its 13th arch
-      term) and _decaying_limit's Wynn extrapolation of the block's
-      partials agrees with the one after the previous block to
-      _HANKEL_SETTLE of the running sum: that extrapolation is its value.
-      After the last block a decaying tail takes its extrapolation without
-      the agreement test; or
-    - after the first block only, its terms grow (neither rule above holds,
-      and arch terms 6..52 are all nonzero) and wynn_epsilon on that
-      block's partials 5..52, where the series is still smallest, is
-      finite: that extrapolation is its value.
+      nonzero head or arch term: the partial sum there is its value; or
+    - otherwise, arch terms 6..52 of the block are all nonzero and
+      wynn_epsilon on the block's partials 5..52 is finite: that
+      extrapolation is its value.  The window is early in the block, where
+      alternating sums that grow are still smallest.
 
     An argument still unsettled after all _N_ARCH arches takes the midpoint
     of its last two partial sums.
@@ -896,43 +880,26 @@ def hankel_mod(kappa: float, eta, f, x):
             lv_head = np.log(np.divide.outer(y_head, xi))
         acc = group_sums(lv_head, jw_head, xi)[0]
         live = np.arange(xi.size)  # block columns not yet settled
-        prev = np.full(xi.size, np.nan, dtype=complex)  # limits after the previous block
         done = 0
         while done < _N_ARCH and live.size:
             blk = slice(done, done + _ARCH_BLOCK)
             lv = np.subtract.outer(ly_arch[blk], lxi[live])
             terms = group_sums(lv, jw_arch[blk], xi[live])
             partials = acc + np.cumsum(terms, axis=0)
-            if done == 0:
-                term13 = np.abs(terms[12])  # every column is live here
             done += _ARCH_BLOCK
             # a term this small against the running sum settles the sum
             # there, once the sum before it has seen mass
             before = np.vstack([acc[None, :], partials[:-1]])
             tiny = (np.abs(terms) <= _HANKEL_SETTLE * np.abs(partials)) & (before != 0)
-            scale = np.maximum(np.abs(partials[-1]), 1e-280)
             hit = tiny.any(axis=0)
             block[live[hit]] = partials[np.argmax(tiny[:, hit], axis=0), hit]
-            # a decaying tail settles where its extrapolated limit stops moving
-            decaying = ~hit & (np.abs(terms[-1]) <= term13[live])
+            # otherwise Wynn on the block's early window.  A zero term there
+            # (f's support not reached yet) leaves the column to run on
+            wynn = ~hit & np.all(terms[5:52] != 0, axis=0)
             limit = np.full(live.size, np.nan, dtype=complex)
-            if decaying.any():
-                limit[decaying] = _decaying_limit(partials[:, decaying])
-            if done < _N_ARCH:
-                # NaN (no limit now, or none after the previous block) never agrees
-                near = np.abs(limit - prev[live]) <= _HANKEL_SETTLE * scale
-            else:
-                near = np.isfinite(limit)
-            if done == _ARCH_BLOCK:
-                # growing terms (high frequency): Wynn on an early window,
-                # where the alternating sums are still smallest.  A zero term
-                # there (f's support not reached yet) is no growth: the column
-                # runs on
-                grows = ~(hit | decaying) & np.all(terms[5:52] != 0, axis=0)
-                limit[grows] = wynn_epsilon(partials[4:52, grows])[0]
-                near |= grows & np.isfinite(limit)
+            limit[wynn] = wynn_epsilon(partials[4:52, wynn])[0]
+            near = np.isfinite(limit)
             block[live[near]] = limit[near]
-            prev[live] = limit
             keep = ~(hit | near)
             live, partials = live[keep], partials[:, keep]
             acc = partials[-1]

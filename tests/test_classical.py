@@ -725,19 +725,35 @@ _HANKEL_GROWING = [
 ]
 
 
-def test_hankel_growing_terms_settle_after_the_first_block():
-    # one head and one arch block: 840 + 1,536 reads; all 2,048 arches
-    # would take 25,416
-    kap, eta, c, p, logx, _ = _HANKEL_GROWING[0]
-    f = TestFunction.power_exp(c, p)
+# (kappa, eta, f, log x, most reads of f per argument): the head takes 840
+# reads and each arch block 1,536; all 2,048 arches would take 25,416
+_HANKEL_READS = [
+    # growing terms: the head and one block
+    pytest.param(1.4, 0.34, ("power_exp", 0.94, 1.26), 9.7, 2_376, id="growing"),
+    # the operators bench's Hankel draw at seed 2: decaying terms, the head
+    # and one block
+    pytest.param(0.5621884571021415, 1.8563166570532206,
+                 ("power_exp", 0.24588067788131787, 0.5289163175466469),
+                 np.linspace(-8.0, 8.0, 161), 2_376, id="bench-seed-2"),
+    # f's support starts at arch 15, inside the first block's Wynn window:
+    # the head and two blocks
+    pytest.param(-0.952, 0.671, ("trunc_power", 0.82), -3.76, 3_912, id="late-support"),
+]
+
+
+@pytest.mark.parametrize("kap, eta, f_args, logx, most", _HANKEL_READS)
+def test_hankel_growing_terms_settle_after_the_first_block(kap, eta, f_args, logx, most):
+    name, *args = f_args
+    f = getattr(TestFunction, name)(*args)
+    x = np.exp(logx)
     count = [0]
 
     def counted(t):
         count[0] += np.size(t)
         return f(t)
 
-    hankel_mod(kap, eta, counted, math.exp(logx))
-    assert count[0] <= 2_376
+    hankel_mod(kap, eta, counted, x)
+    assert count[0] <= most * np.size(x)
 
 
 @pytest.mark.parametrize("kap, eta, c, p, logx, ref", _HANKEL_GROWING)
@@ -764,6 +780,16 @@ def test_hankel_tiny_first_term_does_not_settle_a_rising_sum(logx, ref, rel):
     assert abs(val - ref) < rel * abs(ref)
 
 
+# kappa = -0.54, eta = -0.3, f = gaussian(0.2, 0.52): at small x the
+# integrand is flat to all orders where the Bessel factor oscillates.
+# mpmath.quadosc at 30 digits of the formula above _HANKEL_GROWING gives
+# -8.1586e-277 at x = e^-5.8 and -6.3646e-413 at x = e^-6.0
+@pytest.mark.parametrize("logx", [-5.8, -6.0])
+def test_hankel_flat_integrand_at_small_x_is_near_zero(logx):
+    val = hankel_mod(-0.54, -0.3, TestFunction.gaussian(0.2, 0.52), math.exp(logx))
+    assert abs(val) <= 1e-12
+
+
 def test_hankel_support_starting_past_the_first_arches():
     # f = e^-t on [2, 60]: at x = 3 the head and the first arch see no mass,
     # and a zero term must not settle a zero sum.  mpmath gives
@@ -788,9 +814,9 @@ def test_hankel_support_starting_past_the_first_block():
                                     (150.0, -9.4824919874130026608e-10)])
 def test_hankel_smooth_support_start_is_not_growth(x, ref):
     # f = (t - 2)^3 e^-t past t = 2, 0 below: f's support starts at arch 19
-    # (x = 30) or 95 (x = 150), so arch 13 and part of the first block's
-    # Wynn window see no mass.  Such a column is not growing and must run on
-    # past the first block.  ref is mpmath.quadosc at 30 digits of
+    # (x = 30) or 95 (x = 150), so part of the first block's Wynn window
+    # sees no mass.  Such a column must run on past the first block.  ref
+    # is mpmath.quadosc at 30 digits of
     # int_2^inf (xt)^(1/2) J_0(xt) (t - 2)^3 e^-t dt
     def f(t):
         return np.maximum(t - 2.0, 0.0) ** 3 * np.exp(-t)
