@@ -56,6 +56,7 @@ from .engine import (
     apply_plan,
     best_route,
     bilinear_check,
+    exact_cancellation,
     htransform_direct,
     htransform_mellin,
     htransform_repr,

@@ -178,19 +178,32 @@ class TestFunction:
             return (-math.inf, math.inf)
         return (-self.c, math.inf)
 
+    def mellin_symbol(self):
+        """GammaSymbol of the Mellin transform, amplitude left out, or None
+        for the truncated power.
+
+        power-exp: Gamma(s + c) p^-(s + c); gaussian: 1/2 Gamma((s + c)/2)
+        p^-(s + c)/2, the 1/2 as the power 2^-1.  The truncated power's
+        1/(s + c) stays rational: as a gamma ratio it loses digits high on
+        the line.
+        """
+        c, p = self.c, self.p
+        if self.family == "power-exp":
+            return GammaSymbol(num=((c, 1.0),), powers=((p, -c, -1.0),))
+        if self.family == "gaussian":
+            return GammaSymbol(num=((c / 2.0, 0.5),),
+                               powers=((p, -c / 2.0, -0.5), (2.0, -1.0, 0.0)))
+        return None
+
     def mellin(self, s):
-        """Closed-form Mellin transform on the validity strip."""
+        """Closed-form Mellin transform on the validity strip: the amplitude
+        times one evaluation of ``mellin_symbol`` (one log_gamma batch), or
+        times 1/(s + c) for the truncated power."""
         s = np.asarray(s, dtype=complex)
         if self.amplitude == 0:
             return np.zeros(s.shape, dtype=complex)[()] if s.ndim else 0.0j
-        if self.family == "power-exp":
-            out = np.exp(log_gamma(s + self.c) - (s + self.c) * math.log(self.p))
-        elif self.family == "gaussian":
-            out = 0.5 * np.exp(
-                log_gamma((s + self.c) / 2.0) - (s + self.c) / 2.0 * math.log(self.p)
-            )
-        else:
-            out = 1.0 / (s + self.c)
+        sym = self.mellin_symbol()
+        out = 1.0 / (s + self.c) if sym is None else sym.eval(s)
         return self.amplitude * out
 
     def in_space(self, nu: float) -> bool:

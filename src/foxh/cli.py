@@ -21,6 +21,7 @@ from .engine import (
     VERIFY_POINTS,
     apply_plan,
     best_route,
+    exact_cancellation,
     htransform_direct,
     htransform_mellin,
     htransform_repr,
@@ -268,6 +269,7 @@ def cmd_verify(args) -> int:
         "points": VERIFY_POINTS,
         "residuals": residuals,
         "max_residual": max(residuals),
+        "exact_cancellation": exact_cancellation(plan),
     }
     if args.check_routes:
         f = TestFunction.builtin("exp")
@@ -350,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, need_space=True)
     p.set_defaults(func=cmd_factorize)
 
-    p = sub.add_parser("verify", help="plan symbol residuals (+ route agreement)")
+    p = sub.add_parser("verify", help="plan symbol residuals and exact cancellation "
+                                      "(+ route agreement)")
     common(p, need_space=True)
     p.add_argument("--check-routes", action="store_true")
     p.set_defaults(func=cmd_verify)

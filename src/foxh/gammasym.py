@@ -12,7 +12,9 @@ sits in.
 
 Evaluation goes through summed log-gammas, so magnitudes far beyond float
 range are usable in log form, and the imaginary part varies continuously
-along vertical contours (each factor's argument moves monotonically).
+along vertical contours (each factor's argument moves monotonically).  All
+of a symbol's gamma factors go through one log_gamma (or digamma) batch per
+evaluation.
 
 Neither Gamma nor base^z vanishes, so the zeros of a symbol are exactly the
 poles of its denominator factors that numerator poles do not cancel, with
@@ -82,14 +84,29 @@ class GammaSymbol:
 
     # -- evaluation -------------------------------------------------------
 
+    def _gamma_rows(self, kernel, s):
+        """kernel at the arguments c + w s of every num then den factor, in
+        one batch of shape (len(num) + len(den), *s.shape)."""
+        cw = np.array(self.num + self.den, dtype=complex).reshape(-1, 2, *(1,) * s.ndim)
+        return kernel(cw[:, 0] + cw[:, 1] * s)
+
     def eval_log(self, s):
-        """log of the symbol; imaginary part continuous along vertical lines."""
+        """log of the symbol; imaginary part continuous along vertical lines.
+
+        All gamma factors go through one log_gamma batch; the rows are then
+        added numerators first, denominators next, powers last, each in its
+        listed order (log_gamma gives a batch the bits of its elements, so
+        the sum is that of one call per factor).
+        """
         s = np.asarray(s, dtype=complex)
         total = np.zeros_like(s)
-        for c, w in self.num:
-            total = total + log_gamma(c + w * s)
-        for c, w in self.den:
-            total = total - log_gamma(c + w * s)
+        n = len(self.num)
+        if self.num or self.den:
+            rows = self._gamma_rows(log_gamma, s)
+            for row in rows[:n]:
+                total = total + row
+            for row in rows[n:]:
+                total = total - row
         for b, u, v in self.powers:
             total = total + (u + v * s) * math.log(b)
         return total[()] if total.ndim == 0 else total
@@ -100,13 +117,17 @@ class GammaSymbol:
             return np.exp(self.eval_log(s))
 
     def log_derivative(self, s):
-        """d/ds log(symbol), via digamma."""
+        """d/ds log(symbol): every gamma factor in one digamma batch, summed
+        in eval_log's order."""
         s = np.asarray(s, dtype=complex)
         total = np.zeros_like(s)
-        for c, w in self.num:
-            total = total + w * digamma(c + w * s)
-        for c, w in self.den:
-            total = total - w * digamma(c + w * s)
+        n = len(self.num)
+        if self.num or self.den:
+            rows = self._gamma_rows(digamma, s)
+            for (_, w), row in zip(self.num, rows[:n]):
+                total = total + w * row
+            for (_, w), row in zip(self.den, rows[n:]):
+                total = total - w * row
         const = sum((complex(v) * math.log(b) for (b, _, v) in self.powers), 0.0j)
         total = total + const
         return total[()] if total.ndim == 0 else total

@@ -257,13 +257,10 @@ def eval_hfunction_batch(params: HParams, xs, contour=None,
                                  target_abs_err)
         tails = _tail_bound(inv, gamma, T) * np.exp(-gamma * logx)
     return [
-        EvalResult(
-            value=complex(vals[k]),
-            truncation_bound=float(tails[k]),
-            quadrature_error_estimate=float(qerr[k]),
-            contour_used=contour,
-        )
-        for k in range(x_arr.size)
+        EvalResult(value=v, truncation_bound=tb, quadrature_error_estimate=qe,
+                   contour_used=contour)
+        for v, tb, qe in zip(np.asarray(vals, dtype=complex).tolist(),
+                             tails.tolist(), qerr.tolist())
     ]
 
 

@@ -244,6 +244,7 @@ def test_verify_residuals(capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob["max_residual"] <= 1e-10
+    assert blob["exact_cancellation"] is True
 
 
 def test_verify_determinism(capsys):

@@ -27,6 +27,7 @@ from foxh import (
     best_route,
     bilinear_check,
     derive_invariants,
+    exact_cancellation,
     htransform_direct,
     htransform_mellin,
     htransform_repr,
@@ -77,6 +78,7 @@ def test_plan_symbol_identity_each_case(case):
     assert plan.case_label == case
     residual = verify_plan_symbol(plan)
     assert residual <= 1e-10
+    assert exact_cancellation(plan)
 
 
 def test_plan_case1_shape():
@@ -278,6 +280,7 @@ def test_verify_plan_symbol_on_random_plans(rng):
         except FoxHError:
             continue
         assert verify_plan_symbol(plan) <= 1e-10, params
+        assert exact_cancellation(plan), params
         checked += 1
 
 
@@ -293,7 +296,7 @@ def test_verify_plan_symbol_nudges_off_a_structural_zero():
 
 
 @pytest.mark.parametrize("case", range(1, 10))
-def test_verify_plan_symbol_calls_log_gamma_once_per_factor(case, monkeypatch):
+def test_verify_plan_symbol_calls_log_gamma_once_per_symbol(case, monkeypatch):
     params, nu, r = canonical_params(case)
     plan = plan_factorization(params, nu, r)
     calls = []
@@ -306,9 +309,18 @@ def test_verify_plan_symbol_calls_log_gamma_once_per_factor(case, monkeypatch):
     verify_plan_symbol(plan)
     chain_sym = chain_action(plan.chain)[0]
     sym = symbol_from_params(params)
-    factors = sum(len(g.num) + len(g.den) for g in (sym, chain_sym))
-    assert 0 < len(calls) <= factors
-    assert set(calls) == {len(VERIFY_POINTS)}
+    assert calls == [(len(g.num) + len(g.den)) * len(VERIFY_POINTS)
+                     for g in (chain_sym, sym)]
+
+
+def test_exact_cancellation_rejects_a_wrong_chain():
+    params, nu, r = canonical_params(5)
+    plan = plan_factorization(params, nu, r)
+    # the plan checked against a kernel whose offsets moved by 1e-9
+    moved = validate_params(params.m, params.n, params.p, params.q,
+                            [(c + 1e-9, w) for c, w in params.upper], list(params.lower))
+    assert not exact_cancellation(dataclasses.replace(plan, params=moved))
+    assert not exact_cancellation(dataclasses.replace(plan, chain=plan.chain[1:]))
 
 
 def test_plan_json_roundtrip_fields():

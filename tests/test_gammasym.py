@@ -10,9 +10,11 @@ from foxh import (
     GammaSymbol,
     PoleError,
     PoleOnLineError,
+    TestFunction,
     asymptotic_log_derivative,
     asymptotic_magnitude,
     derive_invariants,
+    digamma,
     find_zeros_on_line,
     log_gamma,
     plan_factorization,
@@ -20,6 +22,7 @@ from foxh import (
     transpose_params,
     validate_params,
 )
+from foxh.engine import chain_action
 from foxh.gammasym import AsymptoticEstimate
 
 from conftest import (
@@ -112,6 +115,87 @@ def test_symbol_json_roundtrip():
     back = GammaSymbol.from_json(sym.to_json())
     s = 0.4 + 1.3j
     assert abs(back.eval(s) - sym.eval(s)) < 1e-13
+
+
+# -- one gamma batch per symbol ----------------------------------------------
+
+def _per_factor(sym, s, kernel):
+    """eval_log (kernel log_gamma) or log_derivative (kernel digamma) with
+    one kernel call per factor, summed num, den, powers in listed order."""
+    s = np.asarray(s, dtype=complex)
+    total = np.zeros_like(s)
+    deriv = kernel is digamma
+    for sign, group in ((1.0, sym.num), (-1.0, sym.den)):
+        for c, w in group:
+            row = kernel(c + w * s)
+            row = w * row if deriv else row
+            total = total + row if sign > 0 else total - row
+    if deriv:
+        return total + sum((complex(v) * math.log(b) for (b, _, v) in sym.powers), 0.0j)
+    for b, u, v in sym.powers:
+        total = total + (u + v * s) * math.log(b)
+    return total
+
+
+def _same_bits(got, ref):
+    return np.asarray(got, dtype=complex).tobytes() == np.asarray(ref, dtype=complex).tobytes()
+
+
+def _batch_symbols(rng):
+    syms = [symbol_from_params(random_params(rng))
+            * GammaSymbol.power(rng.uniform(0.2, 3.0), complex(rng.normal(), rng.normal()),
+                                rng.uniform(-2, 2))
+            for _ in range(30)]
+    syms += [chain_action(plan_factorization(*canonical_params(case)).chain)[0]
+             for case in (5, 8, 9)]
+    syms += [GammaSymbol.one(),
+             GammaSymbol.power(2.0, 0.5, -1.0) * GammaSymbol.power(0.3, 1j, 0.25)]
+    return syms
+
+
+@pytest.mark.parametrize("method, kernel", [("eval_log", log_gamma),
+                                            ("log_derivative", digamma)])
+def test_one_batch_per_symbol_is_bitwise_the_per_factor_sum(rng, method, kernel):
+    t = np.linspace(-40.0, 40.0, 257)
+    for sym in _batch_symbols(rng):
+        line = rng.uniform(-0.45, 0.45) + 0.05
+        points = [line + 1j * t,
+                  (line + 1j * t[:240]).reshape(12, 20),
+                  complex(line, rng.uniform(-3.0, 3.0))]
+        for s in points:
+            try:
+                ref = _per_factor(sym, s, kernel)
+            except PoleError:
+                continue
+            got = getattr(sym, method)(s)
+            assert np.shape(got) == np.shape(s)
+            assert _same_bits(got, ref), (sym, s)
+
+
+@pytest.mark.parametrize("method", ["eval_log", "log_derivative"])
+def test_one_batch_per_symbol_raises_on_a_single_factor_pole(method):
+    # only Gamma(1 + s) of the four factors has a pole at s = -3
+    sym = GammaSymbol(num=((0.5 + 0j, 1.0), (1.0 + 0j, 1.0)),
+                      den=((0.25 + 0j, 1.0), (2.5 + 0j, -1.0)))
+    for s in (-3.0, np.array([0.3 + 1j, -3.0, 0.7 - 2j]),
+              np.array([[0.3, 0.4], [-3.0, 0.7]])):
+        with pytest.raises(PoleError):
+            getattr(sym, method)(s)
+
+
+@pytest.mark.parametrize("f", [TestFunction.power_exp(0.7, 1.3), TestFunction.power_exp(1.0, 1.0),
+                               TestFunction.gaussian(0.4, 0.8), TestFunction.gaussian(0.0, 0.5)],
+                         ids=["pexp", "texp", "gauss-c", "gauss"])
+def test_mellin_from_its_symbol_matches_the_closed_forms(f):
+    # the closed forms, written out per family
+    re = np.linspace(-f.c + 0.2, -f.c + 4.0, 9)
+    s = (re[:, None] + 1j * np.linspace(-3.0, 3.0, 13)[None, :]).reshape(-1)
+    if f.family == "power-exp":
+        ref = np.exp(log_gamma(s + f.c) - (s + f.c) * math.log(f.p))
+    else:
+        ref = 0.5 * np.exp(log_gamma((s + f.c) / 2.0) - (s + f.c) / 2.0 * math.log(f.p))
+    assert np.max(np.abs(f.mellin(s) - ref) / np.abs(ref)) <= 1e-15
+    assert TestFunction.trunc_power(0.5).mellin_symbol() is None
 
 
 # -- auxiliary symbols -------------------------------------------------------
