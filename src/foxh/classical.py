@@ -778,13 +778,14 @@ def ek_fractional(side: str, alpha, sigma: float, eta, f, x):
 # ---------------------------------------------------------------------------
 
 # arches, arches per block (it divides _N_ARCH, and the first 52 partials
-# of every block hold the Wynn window), geometric head panels,
-# Gauss-Legendre nodes each
-_N_ARCH, _ARCH_BLOCK, _HEAD_LEVELS, _HANKEL_NODES = 2048, 128, 70, 12
+# of every block hold the Wynn window), geometric head panels and panels per
+# head chunk, Gauss-Legendre nodes each
+_N_ARCH, _ARCH_BLOCK, _HEAD_LEVELS, _HEAD_CHUNK, _HANKEL_NODES = 2048, 64, 70, 10, 12
 # arguments per block: an arch block's float temporaries are 0.8 MB each
-_HANKEL_COLS = 64
-# an arch term this small against its running sum settles the sum
-_HANKEL_SETTLE = 1e-3 * 1e-10
+_HANKEL_COLS = 128
+# an arch term this small against its running sum settles the sum; a head
+# chunk whose absolute mass is this small against it ends the head
+_HANKEL_SETTLE, _HEAD_SETTLE = 1e-3 * 1e-10, 1e-17
 
 
 @lru_cache(maxsize=32)
@@ -793,8 +794,8 @@ def _hankel_grid(eta_key):
 
     Returns (y_head, jw_head, ly_arch, jw_arch): y at the head nodes, log y
     at the arch nodes, and jw premultiplying the Bessel factor and
-    quadrature weight.  Each is a (groups, nodes) array; the head is one
-    group, the arches one each.
+    quadrature weight.  Each is a (groups, nodes) array; the head's groups
+    are its chunks of _HEAD_CHUNK panels, top first, the arches one each.
     """
     eta = complex(*eta_key)
     breaks = phase_breakpoints(eta, _N_ARCH + 1)
@@ -816,7 +817,8 @@ def _hankel_grid(eta_key):
     y_arch = (mid[:, None] + half[:, None] * xg[None, :])
     w_arch = half[:, None] * wg[None, :]
     jw_arch = bessel_j(eta, y_arch.ravel()).reshape(y_arch.shape) * w_arch
-    return y_head[None, :], jw_head[None, :], np.log(y_arch), jw_arch
+    chunks = (-1, _HEAD_CHUNK * _HANKEL_NODES)
+    return y_head.reshape(chunks), jw_head.reshape(chunks), np.log(y_arch), jw_arch
 
 
 def _node_sums(vals, jw):
@@ -834,18 +836,26 @@ def hankel_mod(kappa: float, eta, f, x):
     After substitution the oscillation lives on a fixed grid in y = xi * v,
     so batches share the Bessel samples.  The integrand f(v^kappa)
     v^(kappa/2), v = y / xi, is formed in log space: with lv = kappa log v
-    it is f(t) sqrt(t), t = e^lv, so no power is taken per entry.  On the
-    arches log v = log y - log xi from the cached log y; on the head, where
-    y reaches e^-80, log v is the log of the ratio.  Arch sums advance block
-    by block (_ARCH_BLOCK arches) per argument, and an argument settles
-    after a block when
+    it is f(t) sqrt(t), t = e^lv, so no power is taken per entry.  f is
+    read only where an argument's sum can still change:
 
-    - an arch term falls to _HANKEL_SETTLE of its running sum, after a
-      nonzero head or arch term: the partial sum there is its value; or
-    - otherwise, arch terms 6..52 of the block are all nonzero and
-      wynn_epsilon on the block's partials 5..52 is finite: that
-      extrapolation is its value.  The window is early in the block, where
-      alternating sums that grow are still smallest.
+    - The head, _HEAD_LEVELS geometric panels on (0, j_1] reaching
+      y = e^-80, is summed top down in chunks of _HEAD_CHUNK panels.  An
+      argument leaves it after a chunk whose absolute mass sum |integrand
+      jw| is at most _HEAD_SETTLE of its nonzero running sum, so a chunk
+      that cancels cannot end it.  Its log v is the log of the ratio y /
+      xi, which log y - log xi would lose to cancellation down there.
+    - An argument whose head is exactly 0 and whose nodes, head bottom to
+      the last arch, all map in log t past an edge of f (support_of(f),
+      probed only then) is 0 and reads no arch.
+    - Arch sums advance block by block (_ARCH_BLOCK arches), with log v =
+      log y - log xi from the cached log y.  An argument settles after a
+      block when an arch term falls to _HANKEL_SETTLE of its running sum,
+      after a nonzero head or arch term: the partial sum there is its
+      value; or otherwise, when arch terms 6..52 of the block are all
+      nonzero and wynn_epsilon on the block's partials 5..52 is finite:
+      that extrapolation is its value.  The window is early in the block,
+      where alternating sums that grow are still smallest.
 
     An argument still unsettled after all _N_ARCH arches takes the midpoint
     of its last two partial sums.
@@ -860,11 +870,12 @@ def hankel_mod(kappa: float, eta, f, x):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         xi_full = np.abs(kappa) * x_arr ** (1.0 / kappa)
         lxi_full = np.log(xi_full)
+    edges = None  # f's edges in log t, probed once some head is exactly 0
 
     def group_sums(lv, jw, xi):
         """sum_j f(v^kappa) v^(kappa/2) jw[k, j] / xi per group k and
-        argument, from lv = log v, v = y[k, j] / xi (overwritten).
-        Non-finite integrand entries count 0."""
+        argument, from lv = log v, v = y[k, j] / xi (overwritten), and the
+        integrand.  Non-finite integrand entries count 0."""
         lv *= kappa
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             t = np.exp(lv, out=lv)
@@ -880,24 +891,42 @@ def hankel_mod(kappa: float, eta, f, x):
             if not np.all(np.isfinite(sums)):
                 vals[~np.isfinite(vals)] = 0.0
                 sums = _node_sums(vals, jw)
-        return sums / xi
+        return sums / xi, vals
 
     out = np.empty(x_arr.size, dtype=complex)
     for start in range(0, x_arr.size, _HANKEL_COLS):
         sl = slice(start, start + _HANKEL_COLS)
         xi, lxi = xi_full[sl], lxi_full[sl]
         block = out[sl]
-        # head nodes reach y = e^-80, where log y - log xi would lose 80 ulps
-        # to cancellation: the head's log v is the log of the ratio
+        acc = np.zeros(xi.size, dtype=complex)
+        live = np.arange(xi.size)  # block columns still in the head
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            lv_head = np.log(np.divide.outer(y_head, xi))
-        acc = group_sums(lv_head, jw_head, xi)[0]
-        live = np.arange(xi.size)  # block columns not yet settled
+            for y, jw in zip(y_head, jw_head):
+                lv = np.log(np.divide.outer(y, xi[live]))
+                sums, vals = group_sums(lv[None], jw[None], xi[live])
+                acc[live] += sums[0]
+                mass = np.abs(jw) @ np.abs(vals[0]) / xi[live]
+                settled = (mass <= _HEAD_SETTLE * np.abs(acc[live])) & (acc[live] != 0)
+                live = live[~settled]
+                if not live.size:
+                    break
+        dead = acc == 0
+        if dead.any():
+            if edges is None:
+                # f = 0 (no edges) leaves no live range: every zero head is dead
+                lo, hi = support_of(f).edges() or (math.inf, -math.inf)
+                edges = (-math.inf if lo is None else lo, math.inf if hi is None else hi)
+            # log t at the lowest head node and the last arch node
+            lt = kappa * (np.array([[np.log(y_head[-1].min())], [ly_arch[-1, -1]]]) - lxi)
+            dead &= (lt.max(axis=0) < edges[0]) | (lt.min(axis=0) > edges[1])
+            block[dead] = 0.0
+        live = np.flatnonzero(~dead)  # block columns not yet settled
+        acc = acc[live]
         done = 0
         while done < _N_ARCH and live.size:
             blk = slice(done, done + _ARCH_BLOCK)
             lv = np.subtract.outer(ly_arch[blk], lxi[live])
-            terms = group_sums(lv, jw_arch[blk], xi[live])
+            terms = group_sums(lv, jw_arch[blk], xi[live])[0]
             partials = acc + np.cumsum(terms, axis=0)
             done += _ARCH_BLOCK
             # a term this small against the running sum settles the sum

@@ -469,8 +469,9 @@ class HankelOp(_Step):
         super().check_space(nu, r)
 
     def apply(self, live: LiveFunction) -> LiveFunction:
-        # hankel_mod reads its input at 840 head points per argument, and
-        # 1,536 more per block of 128 arches, 25,416 at most
+        # hankel_mod reads its input at 120 head points per chunk of 10
+        # panels, 840 at most, and 768 more per block of 64 arches, 25,416 at
+        # most per argument; a zero head past the table's edges reads no arch
         src = tabulate(live)
         return LiveFunction(lambda x: hankel_mod(self.index, self.order, src, x),
                             _out_weight(self, live.nu))

@@ -725,19 +725,21 @@ _HANKEL_GROWING = [
 ]
 
 
-# (kappa, eta, f, log x, most reads of f per argument): the head takes 840
-# reads and each arch block 1,536; all 2,048 arches would take 25,416
+# (kappa, eta, f, log x, most reads of f per argument): the head takes 120
+# reads a chunk, 840 at most, and each arch block 768; all 2,048 arches
+# would take 25,416
 _HANKEL_READS = [
-    # growing terms: the head and one block
-    pytest.param(1.4, 0.34, ("power_exp", 0.94, 1.26), 9.7, 2_376, id="growing"),
-    # the operators bench's Hankel draw at seed 2: decaying terms, the head
-    # and one block
+    # growing terms: three head chunks and one block
+    pytest.param(1.4, 0.34, ("power_exp", 0.94, 1.26), 9.7, 1_128, id="growing"),
+    # the operators bench's Hankel draw at seed 2: decaying terms, a few
+    # head chunks and one block
     pytest.param(0.5621884571021415, 1.8563166570532206,
                  ("power_exp", 0.24588067788131787, 0.5289163175466469),
-                 np.linspace(-8.0, 8.0, 161), 2_376, id="bench-seed-2"),
+                 np.linspace(-8.0, 8.0, 161), 1_140, id="bench-seed-2"),
     # f's support starts at arch 15, inside the first block's Wynn window:
-    # the head and two blocks
-    pytest.param(-0.952, 0.671, ("trunc_power", 0.82), -3.76, 3_912, id="late-support"),
+    # the whole head, which is 0, then 401 reads of the Support probe a
+    # zero head takes for a plain callable, then two blocks
+    pytest.param(-0.952, 0.671, ("trunc_power", 0.82), -3.76, 2_777, id="late-support"),
 ]
 
 
@@ -822,6 +824,50 @@ def test_hankel_smooth_support_start_is_not_growth(x, ref):
         return np.maximum(t - 2.0, 0.0) ** 3 * np.exp(-t)
 
     assert abs(hankel_mod(1.0, 0.0, f, x) - ref) < 1e-4 * abs(ref)
+
+
+@pytest.mark.parametrize("kap, eta, f, logx", [
+    (1.0, 0.5, TestFunction.zero(), 0.0),
+    # the operators bench's Hankel draw 0: at x = e^-60 every node maps past
+    # f's upper edge, log t = 5.5
+    (0.5623695115450007, 1.8562319070584732,
+     TestFunction.power_exp(0.24602030749852266, 0.5293390438937224), -60.0),
+])
+def test_hankel_dead_column_reads_no_arch(kap, eta, f, logx):
+    # a zero head whose nodes all map past an edge of f is 0: the head's
+    # 840 reads, none of an arch.  f's own Support record answers the probe
+    count = [0]
+
+    def counted(t):
+        count[0] += np.size(t)
+        return f(t)
+
+    counted.support = f.support
+    assert hankel_mod(kap, eta, counted, math.exp(logx)) == 0.0
+    assert count[0] <= 840
+
+
+def test_hankel_sign_change_in_head_and_arches():
+    # (xt)^(1/2) J_(1/2)(xt) = sqrt(2/pi) sin(xt), so on f = (1 - 4t) e^-t the
+    # transform is sqrt(2/pi) (x/(1 + x^2) - 8x/(1 + x^2)^2).  f changes sign
+    # at y = x/4: inside the head for x = 0.3 and 3, in the arches for 20, 200
+    x = np.array([0.3, 3.0, 20.0, 200.0])
+    exact = math.sqrt(2.0 / math.pi) * (x / (1 + x * x) - 8.0 * x / (1 + x * x) ** 2)
+    val = hankel_mod(1.0, 0.5, lambda t: (1.0 - 4.0 * t) * np.exp(-t), x)
+    assert np.max(np.abs(val - exact)) < 1e-12 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("logx, ref", [
+    (-0.40, 0.56083187885211717881),
+    (-0.45, 0.54918317577330707176),
+])
+def test_hankel_criterion_04_draw_matches_mpmath(logx, ref):
+    # criterion_04's Hankel draw 0, where the first tiny arch term falls in
+    # arches 64..127, so the first 64-arch block settles it by Wynn.  ref is
+    # mpmath.quadosc at 30 digits of the formula above _HANKEL_GROWING
+    f = TestFunction.power_exp(0.24602030749852266, 0.5293390438937224)
+    val = hankel_mod(0.5623695115450007, 1.8562319070584732, f, math.exp(logx))
+    assert abs(val - ref) < 2e-13 * abs(ref)
 
 
 # -- Laplace --------------------------------------------------------------------
