@@ -34,6 +34,7 @@ from .bessel import bessel_j, phase_breakpoints
 from .gammafn import log_gamma
 from .gammasym import GammaSymbol
 from .quadrature import (
+    _BLOCK,
     Lattice,
     endpoint_power_rule,
     equal_panels,
@@ -41,6 +42,7 @@ from .quadrature import (
     lattice_sums,
     panel_sums,
     refine_line,
+    trapezoid_density,
     wynn_epsilon,
 )
 
@@ -359,9 +361,6 @@ def support_of(f) -> Support:
 # Numerical Mellin transform and inverse
 # ---------------------------------------------------------------------------
 
-_TRAP_BLOCK = 64  # trapezoid points per block of a line rule
-
-
 def _line_range(f, nu: float):
     """(lo, hi, open_lo, open_hi, edged): the tau range on which |f(e^tau)|
     e^(nu tau) lives, None if f vanishes: the record's window at _NEGLIGIBLE,
@@ -388,7 +387,7 @@ def _line_rule(f, nu: float, t_max: float):
     A range ending at a hard edge takes equal Gauss-Legendre panels at most
     a unit wide, with nodes for the oscillation e^(i t_max tau), and h None;
     any other the trapezoid grid of step h = 2 pi / (t_max + 80), in blocks
-    of _TRAP_BLOCK points, the last padded with zero weights, ready for
+    of _BLOCK points, the last padded with zero weights, ready for
     lattice_sums too.  Raises on an open range."""
     rng = _line_range(f, nu)
     if rng is None:
@@ -401,11 +400,11 @@ def _line_rule(f, nu: float, t_max: float):
         return mid, off, np.broadcast_to(w, (mid.size, w.size)), None
     h = min(0.125, 2.0 * math.pi / (t_max + 80.0))
     n = int(math.ceil((hi + h - lo) / h))  # the points of arange(lo, hi + h, h)
-    n_blocks = -(-n // _TRAP_BLOCK)
-    weights = np.zeros(n_blocks * _TRAP_BLOCK)
+    n_blocks = -(-n // _BLOCK)
+    weights = np.zeros(n_blocks * _BLOCK)
     weights[:n] = h
-    return (lo + h * _TRAP_BLOCK * np.arange(n_blocks), h * np.arange(_TRAP_BLOCK),
-            weights.reshape(n_blocks, _TRAP_BLOCK), h)
+    return (lo + h * _BLOCK * np.arange(n_blocks), h * np.arange(_BLOCK),
+            weights.reshape(n_blocks, _BLOCK), h)
 
 
 def mellin_numeric(f, s) -> complex:
@@ -489,17 +488,18 @@ def mellin_inverse_numeric(F, gamma_line: float, x, *, tol: float = 1e-10):
     """Inverse Mellin transform along Re s = gamma_line, at finite positive x.
 
     F is a callable on complex arrays (a GammaSymbol's eval also works).
-    Truncated where |F| has decayed to tol, refined to an error of tol/2.
-    Returns (values, error_estimates), both shaped like x: the estimate at
-    each x is its distance from the next coarser density's sum.
+    Truncated where |F| has decayed to tol, summed by refine_line from the
+    step of trapezoid_density for a pole 0.5 from the line (F's poles are
+    unknown here).  Returns (values, error_estimates), both shaped like x:
+    the estimate at each x is its gap to the sum on every other node.
     """
     if isinstance(F, GammaSymbol):
         F = F.eval
     x_arr = positive_args(x)
     T = _decay_truncation(F, gamma_line, tol)
     logx = np.log(x_arr)
-    npu = max(10, int(math.ceil(1.5 * float(np.max(np.abs(logx))))))
-    fine, err = refine_line(F, gamma_line, T, logx, npu, tol)
+    first = trapezoid_density(float(np.max(np.abs(logx))), 0.5, tol)
+    fine, err, _ = refine_line(F, gamma_line, T, logx, first, tol)
     return (fine[0], float(err[0])) if np.ndim(x) == 0 else (fine, err)
 
 

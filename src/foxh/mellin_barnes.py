@@ -6,15 +6,14 @@ automatically: midpoint of a bounded strip, unit offset from a single
 finite edge, or shifted toward the decaying side when only algebraic decay
 is available.  Truncation is controlled by the magnitude envelope of the
 symbol (a true bound once the asymptotic regime is reached), quadrature by
-the LineRule of quadrature.py (refine_line for an explicit contour).
+nested trapezoid sums in Im s (quadrature.refine_line).
 
 An automatic contour is sized to the arguments it serves: its height keeps
-the tail small against x^(-gamma) for |ln x| up to a log span, and its node
-density follows both the oscillation exp(-i t ln x) over that span and the
-distance from the line to the nearer strip edge, where the symbol's poles
-limit Gauss-Legendre convergence.  A batch of arguments takes the span of
-its own largest |ln x|; the direct route, whose integrand reads the kernel
-at arguments not known in advance, takes the full span _LOG_SPAN.
+the tail small against x^(-gamma) for |ln x| up to a log span, and its
+first trapezoid step meets the aliasing bound over that span.  A batch of
+arguments takes the span of its own largest |ln x|; the direct route,
+whose integrand reads the kernel at arguments not known in advance, takes
+the full span _LOG_SPAN, through a Gauss-Legendre LineRule.
 
 Only vertical contours are supported.  Kernels whose symbol does not decay
 on any admissible vertical line (the balanced cases, and oscillatory ones
@@ -38,7 +37,7 @@ from .errors import (
 )
 from .gammasym import AsymptoticEstimate, symbol_from_params
 from .params import HParams, Invariants, derive_invariants
-from .quadrature import NODE_BUDGET, LineRule, refine_line
+from .quadrature import NODE_BUDGET, LineRule, refine_line, trapezoid_density
 
 _T_CAP = 2.0e4
 _LOG_SPAN = 45.0
@@ -46,7 +45,10 @@ _LOG_SPAN = 45.0
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Vertical line Re s = re_line truncated at |Im s| <= half_height."""
+    """Vertical line Re s = re_line truncated at |Im s| <= half_height, with
+    nodes_per_unit trapezoid nodes per unit of Im s: for a contour given to
+    eval_hfunction_batch the first density (or the aliasing bound's, if
+    higher), for contour_used the final one."""
 
     re_line: float
     half_height: float
@@ -140,67 +142,53 @@ def choose_contour(inv: Invariants, x: float, target_abs_err: float = 1e-10) -> 
     raise NumericalError("truncation horizon exceeds the quadrature budget")
 
 
-def _nodes_per_unit(inv: Invariants, gamma: float, base: int, log_span: float) -> int:
-    """Node density of a contour at Re s = gamma serving |ln x| <= log_span.
-
-    The oscillation exp(-i t ln x) takes 1.8 nodes per unit of |ln x|.  A
-    strip edge at distance d from the line holds a pole, so n nodes on a
-    unit Gauss-Legendre panel converge like rho(d)^(-2n), rho(d) = 2d +
-    sqrt(4d^2 + 1) being the pole's Bernstein ellipse (Trefethen, SIAM Rev.
-    50, 2008).  n is raised until rho(d)^-n reaches 1e-14, a square's margin
-    on that rate, but never past the density of the full span.
-    """
-    full = int(math.ceil(1.8 * _LOG_SPAN)) + 4
-    d = min(gamma - inv.alpha_low, inv.beta_high - gamma)
-    floor = 0
-    if math.isfinite(d):
-        rho = 2.0 * d + math.sqrt(4.0 * d * d + 1.0)
-        floor = min(int(math.ceil(math.log(1e14) / math.log(rho))), full)
-    return max(base, int(math.ceil(1.8 * log_span)) + 4, floor)
-
-
 class KernelEvaluator:
-    """Reusable contour data for one kernel: symbol values computed once.
+    """Contour data for one kernel at |ln x| <= log_span.  Without a given
+    contour (which must lie in the strip) the line is choose_contour's and
+    the height grows until the tail bound meets the target against the
+    worst x^(-gamma) in that span (at most _LOG_SPAN).  eval sums on nested
+    trapezoid nodes from trapezoid_density's step (d the distance to the
+    nearer strip edge) or the contour's, if denser; the direct route reads
+    fine, Gauss-Legendre at 1.8 log_span + 4 nodes per unit, built on first
+    use."""
 
-    Covers arguments with |ln x| up to log_span (at most _LOG_SPAN); the
-    truncation height is sized so the envelope tail stays below the target
-    even against the worst x^(-gamma) amplification in that range, and the
-    node density by _nodes_per_unit.  The LineRule fine gives the kernel
-    values; a coarser one, built on eval's first call (the direct route
-    reads only fine), estimates their error.
-    """
-
-    def __init__(self, params: HParams, target_abs_err: float, log_span: float):
-        self.params = params
-        self.inv = derive_invariants(params)
+    def __init__(self, params: HParams, target_abs_err: float, log_span: float,
+                 contour=None):
+        self.inv = inv = derive_invariants(params)
         self.target = target_abs_err
-        base = choose_contour(self.inv, 1.0, target_abs_err)
-        gamma = base.re_line
-        T = base.half_height
-        worst_scale = math.exp(abs(gamma) * log_span)
-        while T <= _T_CAP and _tail_bound(self.inv, gamma, T) * worst_scale > target_abs_err / 2.0:
-            T *= 1.15
-        npu = _nodes_per_unit(self.inv, gamma, base.nodes_per_unit, log_span)
-        if 2 * T * npu > NODE_BUDGET:
-            raise NumericalError("truncation horizon exceeds the quadrature budget")
-        self.contour = ContourSpec(gamma, T, npu)
+        self.log_span = log_span
+        if contour is None:
+            base = choose_contour(inv, 1.0, target_abs_err)
+            gamma, T = base.re_line, base.half_height
+            worst_scale = math.exp(abs(gamma) * log_span)
+            while T <= _T_CAP and _tail_bound(inv, gamma, T) * worst_scale > target_abs_err / 2.0:
+                T *= 1.15
+            contour = ContourSpec(gamma, T, 4)  # the least density: the bound decides
+        elif not (inv.alpha_low < contour.re_line < inv.beta_high):
+            raise HypothesisError("contour inside strip", f"Re s = {contour.re_line:g} "
+                                  f"outside ({inv.alpha_low:g}, {inv.beta_high:g})")
+        gamma = contour.re_line
+        d = min(gamma - inv.alpha_low, inv.beta_high - gamma)
+        self.contour = ContourSpec(gamma, contour.half_height, max(
+            contour.nodes_per_unit, trapezoid_density(log_span, d, target_abs_err)))
         self._sym = symbol_from_params(params)
-        self.fine = LineRule(self._sym.eval, gamma, T, npu)
 
     @cached_property
-    def _coarse(self) -> LineRule:
+    def fine(self) -> LineRule:
         c = self.contour
-        return LineRule(self._sym.eval, c.re_line, c.half_height,
-                        max(4, int(c.nodes_per_unit / 1.6)))
+        npu = int(math.ceil(1.8 * self.log_span)) + 4
+        if 2 * c.half_height * npu > NODE_BUDGET:
+            raise NumericalError("truncation horizon exceeds the quadrature budget")
+        return LineRule(self._sym.eval, c.re_line, c.half_height, npu)
 
     def eval(self, x_arr: np.ndarray):
+        """(values, error estimates, tail bounds, nodes per unit) at x_arr."""
         logx = np.log(x_arr)
-        gamma = self.contour.re_line
-        fine = self.fine(logx)
-        qerr = np.abs(fine - self._coarse(logx))
-        tail = _tail_bound(self.inv, gamma, self.contour.half_height)
-        tails = tail * np.exp(-gamma * logx)
-        return fine, qerr, tails
+        c = self.contour
+        vals, qerr, npu = refine_line(self._sym.eval, c.re_line, c.half_height, logx,
+                                      c.nodes_per_unit, self.target)
+        tails = _tail_bound(self.inv, c.re_line, c.half_height) * np.exp(-c.re_line * logx)
+        return vals, qerr, tails, npu
 
 
 _EVALUATOR_CACHE: dict = {}
@@ -225,9 +213,9 @@ def eval_hfunction_batch(params: HParams, xs, contour=None,
     With contour=None the contour is chosen automatically and sized to the
     batch: it covers the log span ceil(max |ln x|), between 1 and _LOG_SPAN,
     so the values depend only on the kernel, the tolerance and the batch
-    (symbol data is cached per kernel and span, so repeated batches are
-    cheap).  Returns a list of EvalResult in order; each carries the
-    contour used.
+    (the contour is cached per kernel and span; the symbol is read afresh,
+    once per trapezoid node).  Returns a list of EvalResult in order; each
+    carries the contour used, at its final density.
     """
     xs = list(xs)
     if len(xs) == 0:
@@ -235,33 +223,17 @@ def eval_hfunction_batch(params: HParams, xs, contour=None,
     x_arr = np.asarray([float(v) for v in xs], dtype=float)
     if np.any(x_arr <= 0) or not np.all(np.isfinite(x_arr)):
         raise ParameterError("x must be positive")
+    span = float(np.max(np.abs(np.log(x_arr))))
     if contour is None:
-        span = min(_LOG_SPAN, max(1.0, float(math.ceil(np.max(np.abs(np.log(x_arr)))))))
-        ev = kernel_evaluator(params, min(target_abs_err, 1e-10), span)
-        vals, qerr, tails = ev.eval(x_arr)
-        contour = ev.contour
+        ev = kernel_evaluator(params, min(target_abs_err, 1e-10),
+                              min(_LOG_SPAN, max(1.0, float(math.ceil(span)))))
     else:
-        inv = derive_invariants(params)
-        if not (inv.alpha_low < contour.re_line < inv.beta_high):
-            raise HypothesisError(
-                "contour inside strip",
-                f"Re s = {contour.re_line:g} outside ({inv.alpha_low:g}, {inv.beta_high:g})",
-            )
-        gamma, T = contour.re_line, contour.half_height
-        logx = np.log(x_arr)
-        # oscillation exp(-i t ln x) needs density scaled to |ln x|
-        npu = max(contour.nodes_per_unit, int(math.ceil(1.8 * float(np.max(np.abs(logx))))) + 4)
-        if 2 * T * npu > NODE_BUDGET:
-            raise NumericalError("truncation horizon exceeds the quadrature budget")
-        vals, qerr = refine_line(symbol_from_params(params).eval, gamma, T, logx, npu,
-                                 target_abs_err)
-        tails = _tail_bound(inv, gamma, T) * np.exp(-gamma * logx)
-    return [
-        EvalResult(value=v, truncation_bound=tb, quadrature_error_estimate=qe,
-                   contour_used=contour)
-        for v, tb, qe in zip(np.asarray(vals, dtype=complex).tolist(),
-                             tails.tolist(), qerr.tolist())
-    ]
+        ev = KernelEvaluator(params, target_abs_err, span, contour)
+    vals, qerr, tails, npu = ev.eval(x_arr)
+    contour = ContourSpec(ev.contour.re_line, ev.contour.half_height, npu)
+    return [EvalResult(value=v, truncation_bound=tb, quadrature_error_estimate=qe,
+                       contour_used=contour)
+            for v, tb, qe in zip(vals.tolist(), tails.tolist(), qerr.tolist())]
 
 
 def eval_hfunction(params: HParams, x: float, contour=None,

@@ -7,10 +7,13 @@ handled by the trapezoidal rule with automatic range expansion and nested
 step halving (spectrally accurate for integrands analytic in a strip around
 the real tau axis).
 
-Finite panels use composite Gauss-Legendre, among them the vertical line of
-every inverse Mellin transform (LineRule, refined by refine_line);
-an endpoint power w^(alpha-1), alpha complex, is carried by the weights of
-a double-exponential rule (endpoint_power_rule).
+Finite panels use composite Gauss-Legendre (LineRule: the direct route's
+kernel, the multiplier step); an endpoint power w^(alpha-1), alpha complex,
+is carried by the weights of a double-exponential rule (endpoint_power_rule).
+Other inverse Mellin transforms take nested trapezoid sums in Im s
+(refine_line): the sum of step h is x^gamma H(x) periodized in ln x with
+period 2 pi / h (Poisson), so for a pole d from the line its error falls
+like e^(-d (2 pi / h - |ln x|)) (Trefethen & Weideman, SIAM Rev. 56 (2014)).
 
 Sums over a vertical line, sum_j c_j e^(-i l t_j) at L real arguments l, are
 evaluated in panels (panel_sums).  The nodes come as t = mid_p + off_g: P
@@ -23,24 +26,19 @@ splitting is the one behind fast sums at non-equispaced nodes (Dutt &
 Rokhlin, SIAM J. Sci. Comput. 14 (1993)); here it needs no approximation.
 
 Arguments in arithmetic progression, l_j = l0 + j delta, split once more:
-e^(-i l_j t) = e^(-i l0 t) e^(-i j delta t).  The second factor, at t =
-off_g and t = mid_p, is a table that depends only on |delta| and the
-nodes, so a LineRule keeps it (LineRule.progression).  A run of n <= _BLOCK
-arguments then costs G + P exponentials, n G products to scale the
-offsets' table, one (n x G)(G x P) product, an n x P multiply and one
-(n x P)(P) product that weights the panels by e^(-i l0 mid_p): no
-exponential per argument, against n (G + P) for panel_sums.  Two callers
-meet such runs.  The direct route: trapezoid_line hands its integrand the
-points of each sweep block as two Runs.  A chain's multiplier step: tabulate,
-the Support profile and the EK tail read its output on a Lattice, x =
-e^(t0 + j h), which it sums in runs of _BLOCK points.
+e^(-i l_j t) = e^(-i l0 t) e^(-i j delta t), whose second factor at the
+nodes is a table per |delta| (LineRule.progression), so a run of n <=
+_BLOCK arguments costs G + P exponentials, against n (G + P).  The direct
+route's kernel (trapezoid_line hands its integrand Runs) and a chain's
+multiplier step (read on a Lattice, x = e^(t0 + j h)) meet such runs.
 
 Nodes in arithmetic progression, t = lo + h (G p + g), split the transposed
 sum the same way (lattice_sums): e^(-i l t) = e^(-i l lo) e^(-i l G h p)
 e^(-i l h g), whose last two factors depend only on the arguments l and h.
 Kept as tables per (l, h), they leave L exponentials per sum, against
-L (P + G) for panel_sums.  The caller, mellin_line_samples, sums at every
-multiplier's contour nodes, so all multipliers share one set of tables.
+L (P + G) for panel_sums.  mellin_line_samples sums at every multiplier's
+contour nodes, so all multipliers share one set of tables; refine_line's
+lines at the same arguments share them per step.
 """
 
 from __future__ import annotations
@@ -54,15 +52,15 @@ from .errors import DivergentIntegralError, NumericalError
 
 # trapezoid_line: initial step, sweep block, largest |tau|, halvings
 _STEP, _BLOCK, _MAX_SPAN, _MAX_HALVINGS = 0.5, 64, 900.0, 4
-# most Gauss-Legendre nodes one vertical line may carry
-NODE_BUDGET = 2_000_000
+# most nodes one vertical line may carry; nodes per call of F in refine_line;
+# its rounding level, in eps sum|coeff|
+NODE_BUDGET, _LINE_CHUNK, _ROUNDING = 2_000_000, 4096, 100.0
 
 
 @lru_cache(maxsize=64)
 def gauss_legendre(n: int):
     """Nodes and weights on [-1, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+    return np.polynomial.legendre.leggauss(n)
 
 
 # endpoint_power_rule: first t (w = 1/2 to 1e-22), log of the floor past
@@ -137,8 +135,7 @@ def lattice_sums(l, lo: float, h: float, coeff):
     exponentials, one (P x G)(G x L) product and a P x L multiply and sum.
     """
     n_blocks, width = coeff.shape
-    tables = _lattice_tables(l.tobytes(), h, width)
-    offsets, panels = tables
+    offsets, panels = tables = _lattice_tables(l.tobytes(), h, width)
     if panels.shape[0] < n_blocks:
         # a longer input than any before: its blocks' factors join the table
         lg = np.multiply.outer(width * h * np.arange(panels.shape[0], n_blocks), l)
@@ -230,24 +227,55 @@ class LineRule:
         return tables
 
 
-def refine_line(F, gamma: float, T: float, logx, nodes_per_unit: int, tol: float):
-    """LineRule sums at logx, density raised (x1.6 + 2, at most 4 times).
+def trapezoid_density(log_span: float, d: float, tol: float) -> int:
+    """First nodes per unit of Im s for refine_line at |ln x| <= log_span and
+    a pole d from the line: 2 pi / h >= log_span + ln(1/tol) / d; at least 4."""
+    return max(4, int(math.ceil((log_span + math.log(1.0 / tol) / d) / (2.0 * math.pi))))
 
-    Stops when successive densities agree to tol/2, when their gap stops
-    halving, or at NODE_BUDGET.  Returns the densest sums and, per argument,
-    their distance from the previous density's.
-    """
-    coarse = LineRule(F, gamma, T, nodes_per_unit)(logx)
-    best_err = math.inf
-    for _ in range(4):
-        denser = int(nodes_per_unit * 1.6) + 2
-        fine = LineRule(F, gamma, T, denser)(logx)
-        err = float(np.max(np.abs(fine - coarse)))
-        if err <= tol / 2.0 or denser * 2 * T > NODE_BUDGET or err > 0.5 * best_err:
-            break
-        best_err = err
-        coarse, nodes_per_unit = fine, denser
-    return fine, np.abs(fine - coarse)
+
+def _trapezoid_sum(F, gamma: float, logx, T: float, lo: float, h: float):
+    """h/(2 pi) sum_k F(gamma + i t_k) e^(-i l t_k) at each l of logx over
+    t_k = +-(lo + k h) in [-T, T] (t = 0 once), and h/(2 pi) sum_k |F|.
+    F is read _LINE_CHUNK nodes a side at a time; each side is summed
+    outward from t = 0 by lattice_sums (the lower one conjugated), so the
+    phases' rounding grows with |t|, least where the symbol is largest."""
+    n = math.floor((T - lo) / h) + 1
+    sums, mass = np.zeros(logx.shape, dtype=complex), 0.0
+    for k0 in range(0, n, _LINE_CHUNK):
+        t = lo + h * np.arange(k0, min(n, k0 + _LINE_CHUNK))
+        skip = int(t[0] == 0.0)
+        coeff = np.zeros((2, -(-t.size // _BLOCK) * _BLOCK), dtype=complex)
+        coeff[0, :t.size], coeff[1, skip:t.size] = np.split(
+            F(gamma + 1j * np.concatenate([t, -t[skip:]])), [t.size])
+        coeff *= h / (2.0 * math.pi)
+        mass += float(np.sum(np.abs(coeff)))
+        up, down = (lattice_sums(logx, t[0], h, c.reshape(-1, _BLOCK))
+                    for c in (coeff[0], np.conj(coeff[1])))
+        sums += up + np.conj(down)
+    return sums, mass
+
+
+def refine_line(F, gamma: float, T: float, logx, nodes_per_unit: int, tol: float):
+    """(1/2 pi i) int F(s) x^(-s) ds on Re s = gamma, |Im s| <= T, at the 1-D
+    ln x = logx, by nested trapezoid sums in t = Im s from the step h =
+    1/nodes_per_unit.  A halving reads F only at the new midpoints.  It
+    stops once the gap to the last sum is at most tol/2 or the sum's
+    rounding level, _ROUNDING eps sum|coeff| x^(-gamma), at every argument,
+    or before NODE_BUDGET.  Returns the sums, their gaps and the final
+    nodes per unit."""
+    if 4.0 * T * nodes_per_unit > NODE_BUDGET:
+        raise NumericalError("truncation horizon exceeds the quadrature budget")
+    total, mass = _trapezoid_sum(F, gamma, logx, T, 0.0, 1.0 / nodes_per_unit)
+    scale = np.exp(-gamma * logx)
+    while True:
+        h = 1.0 / nodes_per_unit
+        mids, mids_mass = _trapezoid_sum(F, gamma, logx, T, 0.5 * h, h)
+        err = 0.5 * np.abs(mids - total) * scale
+        total, mass = 0.5 * (total + mids), 0.5 * (mass + mids_mass)
+        nodes_per_unit *= 2
+        floor = np.maximum(tol / 2.0, _ROUNDING * np.finfo(float).eps * mass * scale)
+        if np.all(err <= floor) or 4.0 * T * nodes_per_unit > NODE_BUDGET:
+            return total * scale, err, nodes_per_unit
 
 
 class _Tagged(np.ndarray):

@@ -19,9 +19,9 @@ from foxh import (
     htransform_direct,
     validate_params,
 )
-from foxh.gammasym import symbol_from_params
+from foxh.gammasym import GammaSymbol, symbol_from_params
 from foxh.mellin_barnes import _EVALUATOR_CACHE, _LOG_SPAN, kernel_evaluator
-from foxh.quadrature import LineRule
+from foxh.quadrature import _LINE_CHUNK, LineRule
 
 from conftest import canonical_params, exp_series
 
@@ -148,9 +148,8 @@ def _values(results):
 
 
 def test_batch_contour_node_floor_near_strip_edge():
-    # the mid-strip line is 0.275 from a pole: density from the span alone
-    # (13 per unit) leaves the table 4e-7 of max|value| off, the pole's
-    # floor (62 per unit) 1e-13
+    # the mid-strip line is 0.275 from a pole, which sets the trapezoid
+    # density: Gauss-Legendre at twice that density, on a taller line, agrees
     res = eval_hfunction_batch(NARROW_STRIP_K, SURVEY_GRID)
     c = res[0].contour_used
     vals = _values(res)
@@ -159,14 +158,33 @@ def test_batch_contour_node_floor_near_strip_edge():
     assert np.max(np.abs(vals - dense)) <= 1e-11 * np.max(np.abs(vals))
 
 
+def _beta_kernel(a):
+    return validate_params(1, 1, 1, 1, [(1.0 - a, 1.0)], [(0.0, 1.0)])
+
+
+@pytest.mark.parametrize("params", [EXP_K, _beta_kernel(1.0), _beta_kernel(2.0), _beta_kernel(3.5)]
+                         + [canonical_params(case)[0] for case in range(5, 10)])
+def test_batch_trapezoid_table_matches_dense_gauss_legendre(params):
+    # the nested trapezoid table against Gauss-Legendre at 100 nodes per
+    # unit on the same contour
+    res = eval_hfunction_batch(params, SURVEY_GRID)
+    c = res[0].contour_used
+    vals = _values(res)
+    dense = LineRule(symbol_from_params(params).eval, c.re_line, c.half_height,
+                     100)(np.log(SURVEY_GRID))
+    assert np.max(np.abs(vals - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
 def test_low_a_star_batch_contour_is_sized_to_its_grid():
+    # the trapezoid density takes the span only as a term beside
+    # ln(1/tol) / d, so the grid's saving is mostly in the height
     res = eval_hfunction_batch(LOW_A_STAR_K, SURVEY_GRID)
     c = res[0].contour_used
     full = kernel_evaluator(LOW_A_STAR_K, 1e-10, _LOG_SPAN)
-    f = full.contour
-    assert c.half_height * c.nodes_per_unit <= 0.25 * f.half_height * f.nodes_per_unit
+    ref, _, _, full_density = full.eval(SURVEY_GRID)
+    assert c.half_height <= 0.6 * full.contour.half_height
+    assert c.half_height * c.nodes_per_unit <= 0.3 * full.contour.half_height * full_density
     vals = _values(res)
-    ref = full.eval(SURVEY_GRID)[0]
     assert np.max(np.abs(vals - ref)) <= 1e-6 * np.max(np.abs(vals))
 
 
@@ -185,20 +203,98 @@ def test_batch_values_do_not_depend_on_cached_evaluators():
     assert np.array_equal(_values(after), _values(cold))
 
 
-def test_direct_route_leaves_the_coarse_rule_unbuilt():
-    # only eval's error estimate reads the coarse rule, so it is built there,
-    # from the contour's density: the values stay those of an eager build
+def _dense_trapezoid_sum(params, gamma, T, h, logx):
+    """(h / 2 pi) sum over t = k h, |t| <= T, of symbol(gamma + i t) x^-(gamma + i t),
+    summed in long double."""
+    k = np.arange(-math.floor(T / h), math.floor(T / h) + 1)
+    s = gamma + 1j * h * k
+    coeff = symbol_from_params(params).eval(s).astype(np.clongdouble) * h / (2 * math.pi)
+    s = gamma + 1j * (np.longdouble(h) * k.astype(np.longdouble))
+    return np.array([np.sum(np.exp(-l * s) * coeff) for l in logx.astype(np.longdouble)],
+                    dtype=complex)
+
+
+def test_batch_reads_each_trapezoid_node_once(monkeypatch):
+    # a batch reads the symbol once per trapezoid node of its final step and
+    # leaves fine, the direct route's Gauss-Legendre rule, unbuilt; the
+    # direct route then builds it as an eager LineRule at 1.8 x 45 + 4 = 85
+    # nodes per unit, bitwise
     _EVALUATOR_CACHE.clear()
-    htransform_direct(EXP_K, TestFunction.builtin("exp"), [1.0], SpaceSpec(0.5, 2.0))
+    points = []
+    symbol_eval = GammaSymbol.eval
+
+    def counting(sym, s):
+        points.append(np.size(s))
+        return symbol_eval(sym, s)
+
+    monkeypatch.setattr(GammaSymbol, "eval", counting)
+    # |ln x| up to 44.5: the direct route's span and tolerance, so its evaluator
+    res = eval_hfunction_batch(EXP_K, np.exp(np.linspace(-44.5, 2.0, 9)),
+                               target_abs_err=1e-11)
+    monkeypatch.undo()
+    c = res[0].contour_used
+    assert sum(points) == 2 * math.floor(c.half_height * c.nodes_per_unit) + 1
     ev = _EVALUATOR_CACHE[(EXP_K, -11.0, _LOG_SPAN)]
-    assert "_coarse" not in vars(ev)
+    assert "fine" not in vars(ev)
+    htransform_direct(EXP_K, TestFunction.builtin("exp"), [1.0], SpaceSpec(0.5, 2.0))
+    eager = LineRule(symbol_from_params(EXP_K).eval, c.re_line, c.half_height, 85)
+    for name in ("mid", "off", "coeff"):
+        assert np.array_equal(getattr(ev.fine, name), getattr(eager, name))
+
+
+def test_batch_error_estimate_is_the_gap_to_every_other_node():
+    # at tolerance 1e-6 the sums stop while the gap is well above rounding
     xs = np.geomspace(0.1, 10.0, 7)
-    fine, qerr, _ = ev.eval(xs)
-    assert "_coarse" in vars(ev)
-    c = ev.contour
-    coarse = LineRule(symbol_from_params(EXP_K).eval, c.re_line, c.half_height,
-                      max(4, int(c.nodes_per_unit / 1.6)))
-    assert np.array_equal(qerr, np.abs(fine - coarse(np.log(xs))))
+    res = eval_hfunction_batch(EXP_K, xs, ContourSpec(1.0, 25.0, 4), target_abs_err=1e-6)
+    c = res[0].contour_used
+    h = 1.0 / c.nodes_per_unit
+    logx = np.log(xs)
+    fine = _dense_trapezoid_sum(EXP_K, c.re_line, c.half_height, h, logx)
+    coarse = _dense_trapezoid_sum(EXP_K, c.re_line, c.half_height, 2 * h, logx)
+    vals = _values(res)
+    qerr = np.array([r.quadrature_error_estimate for r in res])
+    assert np.max(np.abs(vals - fine)) <= 1e-14
+    assert np.max(np.abs(qerr - np.abs(fine - coarse))) <= 1e-14
+    assert 1e-12 < np.max(qerr) <= 5e-7
+
+
+# mpmath's value of the a* = 0.025 kernel at SURVEY_GRID[62] = 86.40 (30
+# digits, Gauss-Legendre over |t| <= 3000 on Re s = -0.89862)
+LOW_A_STAR_AT_86 = -0.506758327568557 - 1.121886866121693j
+
+
+def _survey_reference_contour():
+    """The survey's reference contour for the a* = 0.025 kernel: 0.15 below
+    the batch's line, 1.5 times the height choose_contour gives at the
+    grid's ends (T about 2,505)."""
+    inv = derive_invariants(LOW_A_STAR_K)
+    T = 1.5 * max(choose_contour(inv, x).half_height for x in SURVEY_GRID[[0, -1]])
+    return ContourSpec(-1.0486, T, 8)
+
+
+def test_low_a_star_kernel_against_mpmath():
+    # the survey's hardest kernel: its sums cancel by five to eight orders
+    # of magnitude, so rounding, not the rule, sets the error
+    vals = _values(eval_hfunction_batch(LOW_A_STAR_K, SURVEY_GRID))
+    scale = np.max(np.abs(vals))
+    assert abs(vals[62] - LOW_A_STAR_AT_86) <= 6e-9 * scale
+    ref = _values(eval_hfunction_batch(LOW_A_STAR_K, SURVEY_GRID, _survey_reference_contour()))
+    assert abs(ref[62] - LOW_A_STAR_AT_86) <= 2.5e-8 * scale
+
+
+def test_refine_line_memory_does_not_grow_with_nodes():
+    # the reference contour ends near 80,000 trapezoid nodes; the symbol is
+    # read _LINE_CHUNK nodes at a time, so the peak stays below one chunk's
+    # dense 64 x _LINE_CHUNK phase matrix, whatever the node count
+    tracemalloc.start()
+    try:
+        res = eval_hfunction_batch(LOW_A_STAR_K, SURVEY_GRID, _survey_reference_contour())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    c = res[0].contour_used
+    assert 2 * c.half_height * c.nodes_per_unit >= 50_000
+    assert peak < 64 * _LINE_CHUNK * 16
 
 
 # -- panel-factored line sums ---------------------------------------------------
